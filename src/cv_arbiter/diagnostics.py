@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .blas import single_threaded
 from .errors import DegenerateRisk
 from .estimators import FittedModel, ProcedureSpec, fit_procedure
 from .scenarios import Sample, Scenario, gen_sample, true_f
@@ -231,6 +232,7 @@ class DiagnosticsReport:
         }
 
 
+@single_threaded()
 def diagnostics_report(
     proc_ids: list[str],
     case_id: str,
@@ -245,7 +247,7 @@ def diagnostics_report(
     """Run the full probe battery for the CLI ``diagnose`` subcommand.
 
     Pairwise probes use the first two procedures and are omitted when
-    only one is given.
+    only one is given.  BLAS runs single-threaded throughout.
     """
     procs = [ProcedureSpec.parse(p) for p in proc_ids]
     report = DiagnosticsReport(

@@ -240,35 +240,37 @@ def _spline_design(x: np.ndarray):
     k = len(t) - 4
     B = BSpline.design_matrix(x, t, 3)
 
-    greville = (t[1:-3] + t[2:-2] + t[3:-1]) / 3.0
+    g = (t[1:-3] + t[2:-2] + t[3:-1]) / 3.0  # Greville abscissae
+    h1, h2, span = g[1:-1] - g[:-2], g[2:] - g[1:-1], g[2:] - g[:-2]
+    rows = np.arange(k - 2)
     D = np.zeros((k - 2, k))
-    for i in range(k - 2):
-        h1 = greville[i + 1] - greville[i]
-        h2 = greville[i + 2] - greville[i + 1]
-        span = greville[i + 2] - greville[i]
-        D[i, i] = 2.0 / (h1 * span)
-        D[i, i + 1] = -2.0 / (h1 * h2)
-        D[i, i + 2] = 2.0 / (h2 * span)
+    D[rows, rows] = 2.0 / (h1 * span)
+    D[rows, rows + 1] = -2.0 / (h1 * h2)
+    D[rows, rows + 2] = 2.0 / (h2 * span)
     return t, B, D
 
 
 def _spline_system(x: np.ndarray, y: np.ndarray):
     """Diagonalize the penalized least-squares problem.
 
-    Returns (t, B, C, s, w, k) such that the coefficients at a given
-    lambda are ``C @ (w / (1 + lam * s))``: one thin QR of the design
-    (QR rather than a Gram-matrix factorization, so conditioning is
-    kappa(B) and not its square) plus one small symmetric
-    eigendecomposition of the whitened penalty; each grid lambda then
-    costs only a diagonal rescale, which stays numerically exact even
-    at the stiff top of the grid.
+    Returns (t, R, v, s, w, r) such that the coefficients at a given
+    lambda are ``R^{-1} v (w / (1 + lam * s))`` and the residual sum of
+    squares is ``r^2 + sum((w * lam * s / (1 + lam * s))^2)``.  One thin
+    QR of the augmented design [B, y], with no Q formed, gives R, Q'y
+    (its last column) and the unpenalized residual norm r (its corner);
+    QR rather than a Gram-matrix factorization keeps the conditioning at
+    kappa(B) and not its square.  One small SVD of the whitened penalty
+    then makes each grid lambda a diagonal rescale, which stays
+    numerically exact even at the stiff top of the grid.
     """
     t, B, D = _spline_design(x)
     k = len(t) - 4
-    Q, R = np.linalg.qr(B.toarray())
+    Ra = np.linalg.qr(np.column_stack([B.toarray(), y]), mode="r")
+    R = Ra[:k, :k]
     diag = np.abs(np.diag(R))
     if np.min(diag) <= 1e-10 * np.max(diag):
         raise RankDeficient("spline design matrix is numerically rank deficient")
+    r = abs(Ra[k, k]) if len(y) > k else 0.0
     E = solve_triangular(R.T, D.T, lower=True).T  # D R^{-1}
     # Shrinkage spectrum via the SVD of E (not eigh of E'E, which would
     # square the conditioning); the penalty null space has dimension
@@ -276,26 +278,32 @@ def _spline_system(x: np.ndarray, y: np.ndarray):
     _, sigma, vh = np.linalg.svd(E, full_matrices=True)
     v = vh.T[:, ::-1]  # columns now ordered by ascending penalty strength
     s = np.concatenate([np.zeros(2), sigma[::-1] ** 2])
-    C = solve_triangular(R, v, lower=False)  # R^{-1} V
-    w = v.T @ (Q.T @ y)
-    return t, B, C, s, w, k
+    w = v.T @ Ra[:k, k]
+    return t, R, v, s, w, r
 
 
 def _spline_profile(x, y, grid: LambdaGrid):
-    t, B, C, s, w, k = _spline_system(x, y)
+    """GCV over the grid; returns (t, lams, gcv, dof, coefs_at(j))."""
+    t, R, v, s, w, r = _spline_system(x, y)
     if s[2] <= 0.0:
         raise RankDeficient("spline penalty is rank deficient beyond its null space")
     lams = grid.resolve(s[2])
-    shrink = 1.0 / (1.0 + np.outer(s, lams))  # k x L
-    coefs = C @ (w[:, None] * shrink)
-    resid = y[:, None] - B @ coefs
-    rss = np.einsum("ij,ij->j", resid, resid)
+    stiff = np.outer(s, lams)  # k x L
+    shrink = 1.0 / (1.0 + stiff)
+    # RSS is a sum of nonnegative terms: 1 - shrink is formed as
+    # stiff / (1 + stiff), so nothing cancels.
+    damped = w[:, None] * (stiff / (1.0 + stiff))
+    rss = r * r + np.einsum("ij,ij->j", damped, damped)
     dof = shrink.sum(axis=0)
     n = len(y)
     denom = n - dof
     with np.errstate(divide="ignore", invalid="ignore"):
         gcv = np.where(denom > 0, n * rss / denom**2, np.inf)
-    return t, lams, gcv, dof, coefs
+
+    def coefs_at(j: int) -> np.ndarray:
+        return solve_triangular(R, v @ (w * shrink[:, j]), lower=False)
+
+    return t, lams, gcv, dof, coefs_at
 
 
 def _check_spline_sample(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +335,11 @@ def fit_smoothing_spline(sample: Sample, grid: LambdaGrid | None = None) -> Fitt
     DegenerateDenominator if no grid point has a usable GCV value.
     """
     x, y = _check_spline_sample(sample)
-    t, lams, gcv, dof, coefs = _spline_profile(x, y, grid or LambdaGrid())
+    t, lams, gcv, dof, coefs_at = _spline_profile(x, y, grid or LambdaGrid())
     if not np.any(np.isfinite(gcv)):
         raise DegenerateDenominator("smoother trace reaches n at every grid lambda")
     best = int(np.argmin(gcv))  # first minimum = smallest lambda on ties
-    c = coefs[:, best]
+    c = coefs_at(best)
     spl = BSpline(t, c, 3)
     a, b = t[3], t[-4]
     der = spl.derivative()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,11 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .blas import single_threaded
 from .errors import ConfigError, CvArbiterError, ParseError, SampleTooSmall
 from .estimators import ProcedureSpec
 from .scenarios import Sample, Scenario, gen_sample, resolve_scenario
 from .selection import run_selection
-from .splits import SelectionScheme, SplitSchedule
+from .splits import SelectionScheme, SplitSchedule, estimation_size
 
 DEFAULT_MASTER_SEED = 42
 
@@ -80,13 +82,18 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
     def validate(self) -> None:
-        """Resolve every id against its registry; raise ConfigError."""
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        if not self.n_grid:
-            raise ConfigError("n_grid must be nonempty")
-        if any(int(n) < 2 for n in self.n_grid):
-            raise ConfigError("grid sizes must be >= 2")
+        """Type-check the fields, resolve every id against its registry;
+        raise ConfigError."""
+        for name in ("cases", "procedures", "schemes", "schedules"):
+            ids = getattr(self, name)
+            if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
+                raise ConfigError(f"{name} must be a list of id strings")
+        if not _is_int(self.reps) or self.reps < 1:
+            raise ConfigError("reps must be an integer >= 1")
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise ConfigError("n_grid must be a nonempty list")
+        if not all(_is_int(n) and n >= 2 for n in self.n_grid):
+            raise ConfigError("grid sizes must be integers >= 2")
         try:
             for c in self.cases:
                 resolve_scenario(c)
@@ -98,8 +105,13 @@ class ExperimentConfig:
                 SplitSchedule.parse(s)
         except (CvArbiterError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        if self.threads != "auto" and (not isinstance(self.threads, int) or self.threads < 1):
+        if self.threads != "auto" and (not _is_int(self.threads) or self.threads < 1):
             raise ConfigError("threads must be a positive integer or 'auto'")
+
+
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -225,7 +237,7 @@ def _one_replication(args) -> tuple[int, int, int, dict[str, int] | None, str | 
         outcome = run_selection(procs, sample, schedule, scheme, rng.stream(*key, "splits"))
         dq = {procs[j].id: 1 for j in outcome.disqualified}
         return cell_idx, rep, outcome.selected, dq, None
-    except CvArbiterError as exc:
+    except (CvArbiterError, ValueError, np.linalg.LinAlgError) as exc:
         return cell_idx, rep, -1, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -233,8 +245,9 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
     """Run the full grid; deterministic given master_seed for any thread count.
 
     ``exclude(case_id, schedule_id, n) -> reason or None`` marks cells
-    excluded instead of running them.  Per-replication failures are
-    recorded in the cell (winner -1, error note) and never abort
+    excluded instead of running them.  A cell the scheme cannot split
+    (k-fold r > n) is excluded with an error.  Per-replication failures
+    are recorded in the cell (winner -1, error note) and never abort
     sibling cells.
     """
     config.validate()
@@ -250,24 +263,21 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
     cells: list[CellResult] = []
     tasks = []
     for case_id in config.cases:
-        for n in config.n_grid:
-            n = int(n)
+        for n in map(int, config.n_grid):
             for schedule_id in config.schedules:
                 schedule = SplitSchedule.parse(schedule_id)
                 for scheme_id in config.schemes:
                     scheme = SelectionScheme.parse(scheme_id)
-                    if scheme.split_kind == "kfold":
-                        fold = -(-n // scheme.count)  # ceil
-                        n1, n2 = n - fold, fold
-                    else:
-                        n1 = schedule.resolve(n)
-                        n2 = n - n1
-                    reason = exclude(case_id, schedule_id, n) if exclude else None
+                    try:
+                        n1, error = estimation_size(n, schedule, scheme), None
+                    except ValueError as exc:  # the scheme cannot split n points
+                        n1, error = 0, f"ValueError: {exc}"
+                    reason = error or (exclude(case_id, schedule_id, n) if exclude else None)
                     cell = CellResult(
-                        case=case_id, n=n, n1=n1, n2=n2,
+                        case=case_id, n=n, n1=n1, n2=n - n1,
                         schedule=schedule_id, scheme=scheme_id,
                         reps=0 if reason else config.reps,
-                        excluded=bool(reason), note=reason or "",
+                        excluded=bool(reason), note=reason or "", error=error,
                     )
                     cell_idx = len(cells)
                     cells.append(cell)
@@ -281,11 +291,12 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
                     cell.winners = [-1] * config.reps
 
     workers = (os.cpu_count() or 1) if config.threads == "auto" else config.threads
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_replication, tasks, chunksize=8))
-    else:
-        results = [_one_replication(t) for t in tasks]
+    with single_threaded():
+        if workers > 1 and len(tasks) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_one_replication, tasks, chunksize=8))
+        else:
+            results = [_one_replication(t) for t in tasks]
 
     # Assemble by (cell, rep) index: output independent of scheduling.
     for cell_idx, rep, winner, dq, err in results:
@@ -402,12 +413,10 @@ def select_from_csv(
         schedule = SplitSchedule.parse(schedule_id)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    n1 = estimation_size(sample.n, schedule, scheme)
     stream = rng.stream(seed, "select", scheme.id, schedule.id, sample.n)
-    outcome = run_selection(procs, sample, schedule, scheme, stream)
-    if scheme.split_kind == "kfold":
-        n1 = sample.n - (-(-sample.n // scheme.count))
-    else:
-        n1 = schedule.resolve(sample.n)
+    with single_threaded():
+        outcome = run_selection(procs, sample, schedule, scheme, stream)
     labels = [p.id for p in procs]
     return {
         "selected": outcome.selected,

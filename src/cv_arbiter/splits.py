@@ -140,6 +140,15 @@ def _pair(n: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return est, np.flatnonzero(mask)
 
 
+def estimation_size(n: int, schedule: SplitSchedule, scheme: SelectionScheme) -> int:
+    """n1 of the splits a scheme draws from n points; k-fold r > n raises ValueError."""
+    if scheme.split_kind != "kfold":
+        return schedule.resolve(n)
+    if scheme.count > n:
+        raise ValueError(f"kfold r={scheme.count} exceeds n={n}")
+    return n - -(-n // scheme.count)  # largest fold: ceil(n / r)
+
+
 def make_splits(
     n: int,
     schedule: SplitSchedule,
@@ -152,20 +161,16 @@ def make_splits(
     enumeration is capped at EXHAUSTIVE_CAP subsets.
     """
     kind = scheme.split_kind
+    n1 = estimation_size(n, schedule, scheme)
     if kind == "kfold":
         r = scheme.count
-        if r > n:
-            raise ValueError(f"kfold r={r} exceeds n={n}")
         perm = stream.permutation(n)
         folds = np.array_split(perm, r)
         splits = []
         for i in range(r):
             est = np.concatenate([folds[j] for j in range(r) if j != i])
             splits.append(_pair(n, est))
-        n1 = n - max(len(f) for f in folds)
         return SplitPlan(tuple(splits), scheme.id, n, n1)
-
-    n1 = schedule.resolve(n)
     if kind == "single":
         est = stream.permutation(n)[:n1]
         return SplitPlan((_pair(n, est),), scheme.id, n, n1)

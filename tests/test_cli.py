@@ -88,6 +88,53 @@ def test_simulate_roundtrip_and_exit_codes(tmp_path, capsys):
     assert (tmp_path / "err.json").exists()
 
 
+def _simulate_config(tmp_path, **overrides):
+    config = {
+        "cases": ["case1"],
+        "procedures": ["poly:1", "poly:2"],
+        "schemes": ["single"],
+        "schedules": ["ratio:5:5"],
+        "n_grid": [40],
+        "reps": 2,
+        "master_seed": 5,
+        "threads": 1,
+        **overrides,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"reps": "2"}, "reps must be an integer"),
+        ({"n_grid": ["100"]}, "grid sizes must be integers"),
+        ({"n_grid": [100.5]}, "grid sizes must be integers"),
+        ({"threads": True}, "threads must be a positive integer"),
+        ({"cases": [1]}, "cases must be a list of id strings"),
+    ],
+)
+def test_simulate_rejects_mistyped_config(tmp_path, capsys, overrides, message):
+    rc = main(["simulate", "--config", _simulate_config(tmp_path, **overrides)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_keeps_valid_cells_when_kfold_exceeds_n(tmp_path):
+    cfg = _simulate_config(tmp_path, schemes=["kfold-a:150"], n_grid=[100, 200], reps=1)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "kf")])
+    assert rc == 3
+    rows = [line.split(",") for line in open(tmp_path / "kf.csv").read().splitlines()[1:]]
+    by_n = {}
+    for row in rows:
+        by_n.setdefault(row[1], []).append(row)
+    assert all(row[7] == "nan" and row[8] == "0" for row in by_n["100"])
+    assert sum(float(row[7]) for row in by_n["200"]) == pytest.approx(1.0)
+    cells = json.loads(open(tmp_path / "kf.json").read())["rows"]
+    assert cells[0]["excluded"] and "kfold r=150 exceeds n=100" in cells[0]["note"]
+
+
 def test_diagnose_subcommand(capsys):
     rc = main([
         "diagnose", "--proc", "poly:1", "--proc", "poly:2", "--case", "case2",

@@ -192,6 +192,56 @@ def test_gcv_trace_matches_dense_hat_oracle():
     assert checked >= 30  # the oracle-valid range spans the dof transition
 
 
+def test_gcv_value_matches_dense_hat_oracle():
+    # The spectral RSS r^2 + sum((w * (1 - shrink))^2) against the
+    # residuals of the dense penalized solve (B'B + lam D'D) c = B'y in
+    # extended precision, on the same oracle-valid lambda range.
+    g = rng.stream("hat-oracle")
+    x = np.sort(rng.uniforms(g, 25))
+    y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 25)
+    t, B, D = _spline_design(x)
+    Bd = B.astype(np.longdouble).toarray()
+    yl = y.astype(np.longdouble)
+    gram = Bd.T @ Bd
+    pen = D.astype(np.longdouble).T @ D.astype(np.longdouble)
+    gram_scale = float(np.linalg.norm(gram.astype(float)))
+    pen_scale = float(np.linalg.norm(pen.astype(float)))
+    checked = 0
+    for point in gcv_profile(Sample(x=x, y=y)):
+        if point.lam * pen_scale > 1e6 * gram_scale:
+            continue
+        m = gram + np.longdouble(point.lam) * pen
+        coefs = solve_longdouble(m, (Bd.T @ yl)[:, None])[:, 0]
+        trace = np.trace(solve_longdouble(m, gram))
+        rss = np.sum((yl - Bd @ coefs) ** 2)
+        gcv = float(25 * rss / (25 - trace) ** 2)
+        assert abs(point.gcv - gcv) <= 1e-9 * gcv
+        checked += 1
+    assert checked >= 30
+
+
+def _penalty_loop(t):
+    """Reference penalty, built one row at a time."""
+    k = len(t) - 4
+    greville = (t[1:-3] + t[2:-2] + t[3:-1]) / 3.0
+    D = np.zeros((k - 2, k))
+    for i in range(k - 2):
+        h1 = greville[i + 1] - greville[i]
+        h2 = greville[i + 2] - greville[i + 1]
+        span = greville[i + 2] - greville[i]
+        D[i, i] = 2.0 / (h1 * span)
+        D[i, i + 1] = -2.0 / (h1 * h2)
+        D[i, i + 2] = 2.0 / (h2 * span)
+    return D
+
+
+@pytest.mark.parametrize("n", [10, 25, 90, 400])
+def test_penalty_is_bit_identical_to_row_loop(n):
+    x = np.sort(rng.uniforms(rng.stream("penalty", n), n))
+    t, _, D = _spline_design(x)
+    assert np.array_equal(D, _penalty_loop(t))
+
+
 def test_spline_sample_too_small():
     g = rng.stream("small")
     x = rng.uniforms(g, 9)

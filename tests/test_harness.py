@@ -119,6 +119,29 @@ def test_cell_error_recorded_not_raised():
         assert np.isnan(list(row.frequencies(table.procedures).values())[0])
 
 
+def test_infeasible_kfold_cell_excluded_siblings_run():
+    config = _small_config(schemes=["kfold-a:80"], n_grid=[60, 100], reps=2)
+    table = run_experiment(config)
+    small, large = table.rows
+    assert small.excluded and "kfold r=80 exceeds n=60" in small.note
+    assert small.error and small.winners == [] and small.reps == 0
+    assert not large.excluded and large.error is None
+    assert all(w >= 0 for w in large.winners)
+    assert table.has_errors
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad split"), np.linalg.LinAlgError("SVD")])
+def test_replication_value_and_linalg_errors_recorded(monkeypatch, exc):
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr("cv_arbiter.harness.run_selection", failing)
+    table = run_experiment(_small_config(reps=2))
+    for row in table.rows:
+        assert row.error.startswith(type(exc).__name__)
+        assert row.winners == [-1, -1]
+
+
 def test_disqualification_counts_surface_in_table():
     # spline cannot train on 5 points; others still compete
     config = _small_config(procedures=["spline", "poly:1"], schedules=["n1:5"], reps=3)

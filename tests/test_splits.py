@@ -5,7 +5,7 @@ import pytest
 
 from cv_arbiter import rng
 from cv_arbiter.errors import ExhaustiveTooLarge
-from cv_arbiter.splits import SelectionScheme, SplitSchedule, make_splits
+from cv_arbiter.splits import SelectionScheme, SplitSchedule, estimation_size, make_splits
 
 SINGLE = SelectionScheme.parse("single")
 
@@ -95,6 +95,19 @@ def test_kfold_fold_sizes_and_cover():
     assert plan.n1 == 7
     with pytest.raises(ValueError):
         make_splits(3, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("kfold-a:5"), rng.stream(0))
+
+
+@pytest.mark.parametrize(
+    "n, scheme, schedule",
+    [(10, "kfold-a:4", "ratio:5:5"), (11, "kfold-v:11", "n1:3"), (100, "kfold-a:7", "ratio:9:1"),
+     (40, "rlt:3", "ratio:3:7"), (25, "single", "est-dom"), (5, "exhaustive-a", "n1:2")],
+)
+def test_estimation_size_matches_plans(n, scheme, schedule):
+    sched, sch = SplitSchedule.parse(schedule), SelectionScheme.parse(scheme)
+    plan = make_splits(n, sched, sch, rng.stream("n1", n))
+    assert estimation_size(n, sched, sch) == plan.n1
+    assert min(len(est) for est, _ in plan.splits) == plan.n1
+    assert max(len(ev) for _, ev in plan.splits) == n - plan.n1
 
 
 def test_random_splits_deterministic_given_stream():
