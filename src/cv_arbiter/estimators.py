@@ -365,12 +365,147 @@ def fit_smoothing_spline(sample: Sample, grid: LambdaGrid | None = None) -> Fitt
 # --- local linear kernel smoother ---------------------------------------------
 
 
+DIRECT_MAX = 32  # windows of at most this many points are summed point by point
+GATHER_CELLS = 1 << 16  # bound on the gathered (window x point) block per chunk
+CELLS_PER_H = 4  # prefix-sum anchors sit at most h / CELLS_PER_H left of a window
+
+
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(0.0, 1.0 - u * u)
 
 
+def _snap_runs(xt, q, lo, hi, inside):
+    """Move ``lo``/``hi`` (in place) onto the ends of the run of sorted
+    ``xt`` where ``inside(j, rows)`` holds for each query in ``q``.
+
+    The verdict must be monotone in the distance to the query and true
+    at distance 0; equal x share it, so each step jumps a whole tie run.
+    The guesses only need to be close: the moves absorb the rounding
+    difference between a searchsorted edge and the exact predicate.
+    """
+    n = len(xt)
+    moves = (
+        (lo, -1, "left", inside),
+        (lo, 0, "right", lambda j, r: (xt[j] < q[r]) & ~inside(j, r)),
+        (hi, 0, "right", inside),
+        (hi, -1, "left", lambda j, r: (xt[j] > q[r]) & ~inside(j, r)),
+    )
+    for pos, off, side, move in moves:
+        rows = np.arange(len(q))
+        while rows.size:
+            j = pos[rows] + off
+            ok = (j >= 0) & (j < n)
+            rows, j = rows[ok], j[ok]
+            step = move(j, rows)
+            rows, j = rows[step], j[step]
+            pos[rows] = np.searchsorted(xt, xt[j], side)
+
+
+def _gathered_stats(xt, yt, q, lo, hi, skip, weight, out, rows):
+    """Window statistics of ``rows`` summed point by point into ``out``.
+
+    The same per-point arithmetic as a dense weight matrix, restricted to
+    each window [lo, hi) minus the ``skip`` index, in chunks of at most
+    GATHER_CELLS gathered points.  Rows of ``out``: s0, s2, ubar, sxx,
+    ybar, sxy (see ``_loclin_batch``).
+    """
+    if rows.size == 0:
+        return
+    width = max(int(np.max(hi[rows] - lo[rows])), 1)
+    step = max(1, GATHER_CELLS // width)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
+        idx = lo[r, None] + np.arange(width)
+        keep = idx < hi[r, None]
+        if skip is not None:
+            keep &= idx != skip[r, None]
+        idx = np.minimum(idx, len(xt) - 1)
+        dx = xt[idx] - q[r, None]
+        w = np.where(keep, weight(dx), 0.0)
+        wx = w * dx
+        yg = yt[idx]
+        s0, s1, s2 = w.sum(1), wx.sum(1), (wx * dx).sum(1)
+        t0, t1 = (w * yg).sum(1), (wx * yg).sum(1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ybar, ubar = t0 / s0, s1 / s0
+            out[:, r] = [s0, s2, ubar, s2 - s1 * ubar, ybar, t1 - s1 * ybar]
+
+
+def _prefix_stats(xt, yt, h, q, lo, hi, skip, out, rows):
+    """Window statistics of ``rows`` from block-anchored prefix sums.
+
+    The kernel is a quadratic in the offset d of a point from any anchor,
+    so each weighted sum is a fixed combination of the power sums
+    sum d^p (p <= 4) and sum d^p y (p <= 3) over the window, and each of
+    those is a difference of two prefix sums.  Raw-power prefix sums
+    cancel catastrophically, so the points are cut into cells of width
+    h / CELLS_PER_H and each occupied cell anchors, at its first point,
+    prefix sums over itself and the cells that follow within 2h.  A window
+    whose first point lies in that cell falls inside the group, every
+    offset stays below 2h + h / CELLS_PER_H, and the line is fitted in
+    the anchor's coordinates, so nothing is re-centered by more than the
+    window's own width.  Returns a mask of the rows whose window is not
+    inside its group (possible only by rounding); the caller sums those
+    point by point.
+    """
+    inv_h2 = 1.0 / (h * h)
+    cell = np.floor((xt - xt[0]) * (CELLS_PER_H / h))  # exact: span < h * 2**40
+    start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    end = np.searchsorted(cell, cell[start] + (2 * CELLS_PER_H + 1))
+    length = end - start
+    offset = np.r_[0, np.cumsum(length)]
+    idx = np.repeat(start - offset[:-1], length) + np.arange(offset[-1])
+    d = xt[idx] - np.repeat(xt[start], length)
+    powers = d ** np.arange(5)[:, None]
+    terms = np.vstack([powers[1:], powers[:4] * yt[idx]])
+    # Each group opens with a slot that takes back the previous group's
+    # total, so the running sum restarts near 0 and its values stay at
+    # the group's own scale.
+    totals = np.add.reduceat(terms, offset[:-1], axis=1)
+    restart = np.hstack([np.zeros((len(terms), 1)), -totals[:, :-1]])
+    terms = np.insert(terms, offset[:-1], restart, axis=1)
+    prefix = np.zeros((len(terms), terms.shape[1] + 1))
+    np.cumsum(terms, axis=1, out=prefix[:, 1:])
+
+    g = np.searchsorted(start, lo[rows], "right") - 1
+    outside = hi[rows] > end[g]
+    rows, g = rows[~outside], g[~outside]
+    count = (hi - lo)[rows]
+    a = offset[g] + g + 1 + lo[rows] - start[g]
+    m1, m2, m3, m4, n0, n1, n2, n3 = prefix[:, a + count] - prefix[:, a]
+    delta = xt[start[g]] - q[rows]  # anchor minus query
+    # The weight at offset d from the anchor is alpha + beta d + gamma d^2.
+    alpha = 0.75 * (1.0 - delta * delta * inv_h2)
+    beta = -1.5 * delta * inv_h2
+    gamma = -0.75 * inv_h2
+    w0 = alpha * count + beta * m1 + gamma * m2
+    w1 = alpha * m1 + beta * m2 + gamma * m3
+    w2 = alpha * m2 + beta * m3 + gamma * m4
+    v0 = alpha * n0 + beta * n1 + gamma * n2
+    v1 = alpha * n1 + beta * n2 + gamma * n3
+    if skip is not None:  # the self point sits at the query, where w = 0.75
+        y_self = yt[skip[rows]]
+        d_self = -delta
+        w0, w1, w2 = w0 - 0.75, w1 - 0.75 * d_self, w2 - 0.75 * d_self * d_self
+        v0, v1 = v0 - 0.75 * y_self, v1 - 0.75 * d_self * y_self
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dbar, ybar = w1 / w0, v0 / w0
+        sxx = w2 - w1 * dbar  # spread is the same about any origin
+        ubar = dbar + delta
+        out[:, rows] = [w0, sxx + w0 * ubar * ubar, ubar, sxx, ybar, v1 - w1 * ybar]
+    return outside
+
+
 def _loclin_batch(xt, yt, h, queries, drop_self=False):
     """Local linear predictions at ``queries``; optionally delete-1.
+
+    ``xt`` must be sorted; ``drop_self`` requires ``queries`` to be
+    ``xt``.  Each Epanechnikov window is the contiguous run of ``xt``
+    with positive weight, found by searchsorted and then snapped to the
+    exact weight predicate, so window membership matches a dense weight
+    matrix point for point.  Small windows are summed point by point;
+    larger ones come from block-anchored prefix sums, so one bandwidth
+    costs O((n + m) log n) time and O(n + m) memory.
 
     Uses the centered weighted-least-squares statistics (numerically
     stable even when the window barely identifies a slope).  Falls back
@@ -379,22 +514,31 @@ def _loclin_batch(xt, yt, h, queries, drop_self=False):
     is numerically degenerate.  Returns (predictions, self-weight
     diagonal contribution for dof bookkeeping, all-windows-regular flag).
     """
-    dx = xt[None, :] - queries[:, None]
-    w = _epanechnikov(dx / h)
-    if drop_self:
-        np.fill_diagonal(w, 0.0)
-    s0 = w.sum(axis=1)
-    s1 = (w * dx).sum(axis=1)
-    s2 = (w * dx * dx).sum(axis=1)
-    t0 = w @ yt
-    t1 = (w * dx) @ yt
-    npos = (w > 0).sum(axis=1)
+    q = np.asarray(queries, dtype=float)
+    m = len(q)
+    skip = np.arange(m) if drop_self else None
+    lo = np.searchsorted(xt, q - h, "left")
+    hi = np.searchsorted(xt, q + h, "right")
+    _snap_runs(xt, q, lo, hi, lambda j, r: _epanechnikov((xt[j] - q[r]) / h) > 0)
+    npos = hi - lo - int(drop_self)
+
+    # Rows: s0 = sum w, s2 = sum w u^2 (u = x - query), the weighted means
+    # ubar and ybar, and the centered sums sxx and sxy.
+    stats = np.zeros((6, m))
+    big = np.flatnonzero(hi - lo > DIRECT_MAX)
+    # Cell ids must be exact small integers and 1 / h^2 a normal float.
+    if big.size and h * h >= np.finfo(float).tiny and xt[-1] - xt[0] < h * 2.0**40:
+        big = big[_prefix_stats(xt, yt, h, q, lo, hi, skip, stats, big)]
+
+    def kernel(dx):
+        return _epanechnikov(dx / h)
+
+    small = np.flatnonzero(hi - lo <= DIRECT_MAX)
+    for rows in (small, big):
+        _gathered_stats(xt, yt, q, lo, hi, skip, kernel, stats, rows)
+    s0, s2, ubar, sxx, ybar, sxy = stats
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ybar = t0 / s0
-        ubar = s1 / s0
-        sxx = s2 - s1 * ubar  # weighted spread of the centered design
-        sxy = t1 - s1 * ybar
         ok_line = sxx > 1e-5 * np.maximum(s2, 1e-300)
         slope = np.where(ok_line, sxy, 0.0) / np.where(ok_line, sxx, 1.0)
         pred = ybar - slope * ubar  # prediction at the query (u = 0)
@@ -404,16 +548,33 @@ def _loclin_batch(xt, yt, h, queries, drop_self=False):
             0.75 / np.maximum(s0, 1e-300),
         )
 
-    few = npos < 2
-    if np.any(few):
-        for i in np.flatnonzero(few):
-            d = np.abs(xt - queries[i])
-            if drop_self:
-                d[i] = np.inf
-            nearest = d <= d.min() + 1e-300
-            pred[i] = yt[nearest].mean()
-            selfw[i] = 0.0
+    few = np.flatnonzero(npos < 2)
+    if few.size:
+        pred[few] = _nearest_mean(xt, yt, q[few], None if skip is None else skip[few])
+        selfw[few] = 0.0
     return pred, selfw, bool(np.all(ok_line & (npos >= 2)))
+
+
+def _nearest_mean(xt, yt, q, skip):
+    """Mean y over every point within dmin + 1e-300 of each query.
+
+    dmin is the distance to the nearest point other than ``skip``; ties
+    count on both sides, as do runs of equal x.
+    """
+    n = len(xt)
+    left = np.searchsorted(xt, q, "left")
+    right = np.searchsorted(xt, q, "right")
+    equal = right - left - (0 if skip is None else 1)
+    with np.errstate(invalid="ignore"):
+        below = np.where(left > 0, q - xt[np.maximum(left - 1, 0)], np.inf)
+        above = np.where(right < n, xt[np.minimum(right, n - 1)] - q, np.inf)
+        reach = np.where(equal > 0, 0.0, np.minimum(below, above)) + 1e-300
+        lo = np.searchsorted(xt, q - reach, "left")
+        hi = np.searchsorted(xt, q + reach, "right")
+    _snap_runs(xt, q, lo, hi, lambda j, r: np.abs(xt[j] - q[r]) <= reach[r])
+    stats = np.zeros((6, len(q)))
+    _gathered_stats(xt, yt, q, lo, hi, skip, np.ones_like, stats, np.arange(len(q)))
+    return stats[4]
 
 
 def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedModel:
@@ -455,11 +616,7 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
     dof = float(np.clip(np.sum(selfw), 0.0, n))
 
     def raw(xv):
-        out = np.empty_like(xv)
-        for start in range(0, len(xv), 512):
-            chunk = xv[start : start + 512]
-            out[start : start + 512] = _loclin_batch(xt, yt, h, chunk)[0]
-        return out
+        return _loclin_batch(xt, yt, h, xv)[0]
 
     return FittedModel(
         predict=_vectorized(raw),

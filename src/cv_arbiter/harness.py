@@ -22,7 +22,13 @@ import numpy as np
 
 from . import rng
 from .blas import single_threaded
-from .errors import ConfigError, CvArbiterError, ParseError, SampleTooSmall
+from .errors import (
+    ConfigError,
+    CvArbiterError,
+    ExhaustiveTooLarge,
+    ParseError,
+    SampleTooSmall,
+)
 from .estimators import ProcedureSpec
 from .scenarios import Sample, Scenario, gen_sample, resolve_scenario
 from .selection import run_selection
@@ -246,7 +252,8 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
 
     ``exclude(case_id, schedule_id, n) -> reason or None`` marks cells
     excluded instead of running them.  A cell the scheme cannot split
-    (k-fold r > n) is excluded with an error.  Per-replication failures
+    (k-fold r > n, or an exhaustive plan above EXHAUSTIVE_CAP splits) is
+    excluded with an error.  Per-replication failures
     are recorded in the cell (winner -1, error note) and never abort
     sibling cells.
     """
@@ -270,8 +277,8 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
                     scheme = SelectionScheme.parse(scheme_id)
                     try:
                         n1, error = estimation_size(n, schedule, scheme), None
-                    except ValueError as exc:  # the scheme cannot split n points
-                        n1, error = 0, f"ValueError: {exc}"
+                    except (ValueError, ExhaustiveTooLarge) as exc:  # cannot split n points
+                        n1, error = 0, f"{type(exc).__name__}: {exc}"
                     reason = error or (exclude(case_id, schedule_id, n) if exclude else None)
                     cell = CellResult(
                         case=case_id, n=n, n1=n1, n2=n - n1,

@@ -141,12 +141,19 @@ def _pair(n: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimation_size(n: int, schedule: SplitSchedule, scheme: SelectionScheme) -> int:
-    """n1 of the splits a scheme draws from n points; k-fold r > n raises ValueError."""
-    if scheme.split_kind != "kfold":
-        return schedule.resolve(n)
-    if scheme.count > n:
-        raise ValueError(f"kfold r={scheme.count} exceeds n={n}")
-    return n - -(-n // scheme.count)  # largest fold: ceil(n / r)
+    """n1 of the splits a scheme draws from n points.
+
+    Raises ValueError for k-fold r > n and ExhaustiveTooLarge when an
+    exhaustive plan would exceed EXHAUSTIVE_CAP splits.
+    """
+    if scheme.split_kind == "kfold":
+        if scheme.count > n:
+            raise ValueError(f"kfold r={scheme.count} exceeds n={n}")
+        return n - -(-n // scheme.count)  # largest fold: ceil(n / r)
+    n1 = schedule.resolve(n)
+    if scheme.split_kind == "exhaustive" and (total := math.comb(n, n1)) > EXHAUSTIVE_CAP:
+        raise ExhaustiveTooLarge(f"C({n},{n1}) = {total} exceeds {EXHAUSTIVE_CAP}")
+    return n1
 
 
 def make_splits(
@@ -177,10 +184,7 @@ def make_splits(
     if kind == "random":
         splits = tuple(_pair(n, stream.permutation(n)[:n1]) for _ in range(scheme.count))
         return SplitPlan(splits, scheme.id, n, n1)
-    # exhaustive
-    total = math.comb(n, n1)
-    if total > EXHAUSTIVE_CAP:
-        raise ExhaustiveTooLarge(f"C({n},{n1}) = {total} exceeds {EXHAUSTIVE_CAP}")
+    # exhaustive (estimation_size has checked the cap)
     splits = tuple(
         _pair(n, np.array(c, dtype=np.intp))
         for c in itertools.combinations(range(n), n1)

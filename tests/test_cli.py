@@ -135,6 +135,18 @@ def test_simulate_keeps_valid_cells_when_kfold_exceeds_n(tmp_path):
     assert cells[0]["excluded"] and "kfold r=150 exceeds n=100" in cells[0]["note"]
 
 
+def test_simulate_keeps_valid_cells_when_exhaustive_exceeds_cap(tmp_path):
+    cfg = _simulate_config(tmp_path, schemes=["exhaustive-a"], n_grid=[10, 60], reps=2)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "ex")])
+    assert rc == 3
+    rows = [line.split(",") for line in open(tmp_path / "ex.csv").read().splitlines()[1:]]
+    assert all(row[7] == "nan" and row[8] == "0" for row in rows if row[1] == "60")
+    assert sum(float(row[7]) for row in rows if row[1] == "10") == pytest.approx(1.0)
+    cells = json.loads(open(tmp_path / "ex.json").read())["rows"]
+    assert not cells[0]["excluded"]
+    assert cells[1]["excluded"] and "ExhaustiveTooLarge" in cells[1]["error"]
+
+
 def test_diagnose_subcommand(capsys):
     rc = main([
         "diagnose", "--proc", "poly:1", "--proc", "poly:2", "--case", "case2",

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import solve_longdouble
+from helpers import dense_loclin_batch, solve_longdouble
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cv_arbiter import rng
+from cv_arbiter import estimators, rng
 from cv_arbiter.errors import (
     BandwidthTooSmall,
     DegenerateDenominator,
@@ -346,6 +350,174 @@ def test_local_linear_fallback_finite_far_from_data():
     pred = m.predict(GRID_10001)
     assert np.all(np.isfinite(pred))
     assert m.predict(0.0) == pytest.approx(1.0)  # nearest cluster
+
+
+def _assert_batch_matches_oracle(x, y, h, queries):
+    """Fast windowed smoother vs the dense n x n oracle, plain and delete-1.
+
+    Predictions agree to 1e-9 everywhere and validity flags exactly; the
+    self weights, which only enter the dof at the data points, agree to
+    1e-9 relative there.
+    """
+    for q, drop_self in ((queries, False), (x, False), (x, True)):
+        pred, selfw, valid = _loclin_batch(x, y, h, q, drop_self)
+        opred, oselfw, ovalid = dense_loclin_batch(x, y, h, q, drop_self)
+        assert valid == ovalid
+        assert np.max(np.abs(pred - opred)) <= 1e-9
+        if q is x:
+            np.testing.assert_allclose(selfw, oselfw, rtol=1e-9, atol=0.0)
+
+
+def _oracle_fit(monkeypatch, sample, bandwidth):
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_loclin_batch", dense_loclin_batch)
+        return fit_local_linear(sample, bandwidth)
+
+
+def _battery_sample(kind, n):
+    g = rng.stream("loclin-battery", kind, n)
+    x = rng.uniforms(g, n)
+    if kind == "round2":
+        x = np.round(x, 2)  # ties
+    elif kind == "round1":
+        x = np.round(x, 1)  # windows of one repeated x: degenerate spread
+    elif kind == "dyadic":
+        x = np.floor(x * 64) / 64  # points at exactly distance h = 1/8 or 1/4
+    y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, n)
+    if kind == "offset":
+        y += 1000.0  # long prefix sums of large terms: cancellation shows here
+    return Sample(x=x, y=y)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("uniform", 5), ("uniform", 17), ("uniform", 60), ("uniform", 250), ("uniform", 1500),
+     ("offset", 1500), ("round2", 400), ("round1", 600), ("dyadic", 200)],
+)
+def test_loclin_batch_matches_dense_oracle(kind, n, monkeypatch):
+    s = _battery_sample(kind, n)
+    order = np.lexsort((s.y, s.x))
+    x, y = s.x[order], s.y[order]
+    span = x[-1] - x[0]
+    g = rng.stream("loclin-battery-queries", kind, n)
+    smallest_auto = max(span / (n - 1) * 1.5, span * 1e-3)
+    for h in (smallest_auto, 0.01, 0.05, 0.125, 0.25, 0.7, 1e6, 1e-300, np.inf):
+        reach = 0.5 * min(h, span)
+        outside = np.concatenate([x[0] - reach * rng.uniforms(g, 5), x[-1] + reach * rng.uniforms(g, 5)])
+        queries = np.concatenate([rng.uniforms(g, 40), outside])
+        _assert_batch_matches_oracle(x, y, h, queries)
+    if n <= 600:
+        try:
+            slow = _oracle_fit(monkeypatch, s, "auto")
+        except BandwidthTooSmall:
+            with pytest.raises(BandwidthTooSmall):
+                fit_local_linear(s, "auto")
+            return
+        fast = fit_local_linear(s, "auto")
+        assert fast.lam == slow.lam
+        assert fast.dof == pytest.approx(slow.dof, rel=1e-9)
+
+
+def test_loclin_prefix_sums_hand_back_windows_outside_their_group():
+    # A window reaches past its prefix-sum group only by rounding at the
+    # group's far edge; such rows must be left for point-by-point sums.
+    x = np.linspace(0.0, 1.0, 200)
+    stats = np.zeros((6, 2))
+    lo, hi = np.array([0, 80]), np.array([200, 120])
+    outside = estimators._prefix_stats(
+        x, x.copy(), 0.1, np.array([0.0, 0.5]), lo, hi, None, stats, np.arange(2)
+    )
+    assert outside.tolist() == [True, False]
+    assert np.all(stats[:, 0] == 0.0) and stats[0, 1] > 0.0
+
+
+def test_loclin_nearest_fallback_large_n_matches_oracle():
+    # h = 1e-6 leaves nearly every window with one point, so almost every
+    # query takes the nearest-data fallback.  Dyadic x give exact ties,
+    # and the midpoint queries sit at equal distance from both neighbours.
+    g = rng.stream("loclin-fallback")
+    x = np.floor(rng.uniforms(g, 5000) * 4096) / 4096
+    y = rng.normals(g, 5000)
+    m = fit_local_linear(Sample(x=x, y=y), 1e-6)
+    order = np.lexsort((y, x))
+    xt, yt = x[order], y[order]
+    queries = np.concatenate([(np.arange(4096) + 0.5) / 4096, rng.uniforms(g, 1000), xt])
+    oracle = np.concatenate([
+        dense_loclin_batch(xt, yt, 1e-6, queries[i : i + 500])[0]
+        for i in range(0, len(queries), 500)
+    ])
+    assert np.max(np.abs(m.predict(queries) - oracle)) <= 1e-12
+    selfw = np.concatenate([
+        dense_loclin_batch(xt, yt, 1e-6, xt[i : i + 500])[1] for i in range(0, 5000, 500)
+    ])
+    assert m.dof == pytest.approx(np.clip(selfw.sum(), 0, 5000), rel=1e-12)
+
+
+def test_loclin_fit_and_predict_memory_is_linear():
+    # A dense n x n temporary alone would take 200 MB at this size.
+    g = rng.stream("loclin-memory")
+    s = Sample(x=rng.uniforms(g, 5000), y=rng.normals(g, 5000))
+    grid = np.linspace(0.0, 1.0, 5000)
+    tracemalloc.start()
+    try:
+        m = fit_local_linear(s, "auto")
+        m.predict(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+_GRID_X = st.integers(0, 40).map(lambda k: k / 40)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    x=st.lists(_GRID_X, min_size=5, max_size=30),
+    data=st.data(),
+    h=st.sampled_from([0.013, 0.07, 0.21, 0.5, 3.0, 1e6, 1e-300, np.inf]),
+    drop_self=st.booleans(),
+)
+def test_loclin_batch_matches_oracle_property(x, data, h, drop_self):
+    x = np.sort(np.array(x))
+    y = np.array(data.draw(st.lists(
+        st.integers(-40, 40).map(lambda k: k / 8), min_size=len(x), max_size=len(x)
+    )))
+    if drop_self:
+        queries = x
+    else:
+        queries = np.array(data.draw(st.lists(
+            st.integers(-20, 100).map(lambda k: k / 80), min_size=1, max_size=20
+        )))
+    pred, selfw, valid = _loclin_batch(x, y, h, queries, drop_self)
+    opred, oselfw, ovalid = dense_loclin_batch(x, y, h, queries, drop_self)
+    assert valid == ovalid
+    assert np.max(np.abs(pred - opred)) <= 1e-9
+    np.testing.assert_allclose(selfw, oselfw, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    x=st.lists(_GRID_X, min_size=5, max_size=40),
+    data=st.data(),
+    bandwidth=st.sampled_from(["auto", 0.05, 0.3]),
+)
+def test_loclin_fit_invariant_to_row_order(x, data, bandwidth):
+    n = len(x)
+    y = rng.normals(rng.stream("loclin-order", n), n)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    a_sample = Sample(x=np.array(x), y=y)
+    b_sample = Sample(x=a_sample.x[perm], y=y[perm])
+    try:
+        a = fit_local_linear(a_sample, bandwidth)
+    except BandwidthTooSmall:
+        with pytest.raises(BandwidthTooSmall):
+            fit_local_linear(b_sample, bandwidth)
+        return
+    b = fit_local_linear(b_sample, bandwidth)
+    xx = np.linspace(-0.1, 1.1, 121)
+    assert a.lam == b.lam and a.dof == b.dof
+    assert np.array_equal(a.predict(xx), b.predict(xx))
 
 
 # --- cross-cutting properties ------------------------------------------------------

@@ -130,6 +130,20 @@ def test_infeasible_kfold_cell_excluded_siblings_run():
     assert table.has_errors
 
 
+def test_exhaustive_cell_above_cap_excluded_siblings_run():
+    # C(60, 30) is far above EXHAUSTIVE_CAP; C(10, 5) = 252 is not.
+    config = _small_config(schemes=["exhaustive-a", "single"], n_grid=[10, 60], reps=3)
+    table = run_experiment(config)
+    cells = {(r.n, r.scheme): r for r in table.rows}
+    big = cells[(60, "exhaustive-a")]
+    assert big.excluded and big.reps == 0 and big.winners == []
+    assert big.error and "ExhaustiveTooLarge" in big.error and "exceeds" in big.note
+    for key in ((10, "exhaustive-a"), (10, "single"), (60, "single")):
+        assert not cells[key].excluded and cells[key].error is None
+        assert all(w >= 0 for w in cells[key].winners)
+    assert table.has_errors
+
+
 @pytest.mark.parametrize("exc", [ValueError("bad split"), np.linalg.LinAlgError("SVD")])
 def test_replication_value_and_linalg_errors_recorded(monkeypatch, exc):
     def failing(*args):
