@@ -1,4 +1,4 @@
-"""Run the bundled OpenBLAS libraries on one thread.
+"""Thread counts: the usable cores, and the bundled OpenBLAS on one thread.
 
 The fits are many small dense problems (QRs of n x ~38 designs, ~37 x 37
 triangular solves).  On those, OpenBLAS threads mostly spin and
@@ -44,6 +44,14 @@ def _openblas_libs() -> list[tuple]:
                     found.append((get, set_))
                     break
     return found
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity and cpuset), >= 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @contextmanager

@@ -371,7 +371,9 @@ CELLS_PER_H = 4  # prefix-sum anchors sit at most h / CELLS_PER_H left of a wind
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    # At a tiny h, u * u overflows to inf; the weight is then 0, as it must be.
+    with np.errstate(over="ignore"):
+        return 0.75 * np.maximum(0.0, 1.0 - u * u)
 
 
 def _snap_runs(xt, q, lo, hi, inside):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .blas import single_threaded
+from .blas import single_threaded, usable_cores
 from .errors import (
     ConfigError,
     CvArbiterError,
@@ -260,12 +260,6 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
     config.validate()
     procs = [ProcedureSpec.parse(p) for p in config.procedures]
     scenarios = {c: resolve_scenario(c) for c in config.cases}
-    for case_id, scen in scenarios.items():
-        if scen.best_proc is not None and scen.best_proc >= len(procs):
-            raise ConfigError(
-                f"scenario {case_id} marks best_proc={scen.best_proc}, "
-                f"but only {len(procs)} procedures are configured"
-            )
 
     cells: list[CellResult] = []
     tasks = []
@@ -297,7 +291,7 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
                         )
                     cell.winners = [-1] * config.reps
 
-    workers = (os.cpu_count() or 1) if config.threads == "auto" else config.threads
+    workers = usable_cores() if config.threads == "auto" else config.threads
     with single_threaded():
         if workers > 1 and len(tasks) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

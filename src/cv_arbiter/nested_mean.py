@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +32,13 @@ import numpy as np
 from scipy import stats
 
 from . import rng
+from .blas import usable_cores
 from .errors import ExhaustiveTooLarge, OverflowRisk
 
 CLOSED_PAIR_MAX_N = 60
+# Draws per selection_prob chunk: each temporary is 512 KB, so memory stays
+# small and the chunks spread evenly over the threads.
+CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,29 +143,37 @@ def selection_prob(
     sigma: float,
     reps: int,
     stream: np.random.Generator,
+    *,
+    workers: int | None = None,
 ) -> float:
     """Monte Carlo frequency of the mean model being selected.
 
     Draws eps ~ N(0, sigma^2)^n and counts normalized_cv_diff > 0;
-    O(n * reps) via the closed form.
+    O(n * reps) via the closed form.  The rows are scored in chunks of
+    about CHUNK_DRAWS draws on ``workers`` threads (default: every
+    usable core).  Each chunk reads its own copy of ``stream`` moved to
+    its first draw, so the result is the sequential draw's, bit for bit,
+    for any thread count, and ``stream`` is left where that draw ends.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if not 1 <= n1 <= n - 1:
         raise ValueError(f"n1 must be in [1, {n - 1}], got {n1}")
-    hits = 0
-    done = 0
-    chunk_rows = max(1, int(4_000_000 // max(n, 1)))
+    rows = max(1, CHUNK_DRAWS // n)
     mu_term = n1 * (n - 1) * n * mu * mu
-    while done < reps:
-        c = min(chunk_rows, reps - done)
-        eps = sigma * rng.normals(stream, (c, n))
+
+    def hits(start: int) -> int:
+        c = min(rows, reps - start)
+        eps = sigma * rng.normals(rng.seek(stream, start * n), (c, n))
         s = eps.sum(axis=1)
         u = np.einsum("ij,ij->i", eps, eps)
         d = mu_term + n1 * (n - 1) * 2 * mu * s + (n1 + 1) * s * s - (n1 + n) * u
-        hits += int(np.count_nonzero(d > 0))
-        done += c
-    return hits / reps
+        return int(np.count_nonzero(d > 0))
+
+    with ThreadPoolExecutor(max_workers=workers or usable_cores()) as pool:
+        total = sum(pool.map(hits, range(0, reps, rows)))
+    stream.bit_generator.state = rng.seek(stream, reps * n).bit_generator.state
+    return total / reps
 
 
 def f_reference_prob(n: int, n1: int) -> float:

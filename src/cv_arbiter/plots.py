@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 from .errors import EmptySelection
 from .harness import FrequencyTable
@@ -112,22 +113,31 @@ def _panel_svg(case: str, schedule: str, series: dict[str, list[tuple[int, float
 def emit_plot(table: FrequencyTable, out_dir: str) -> list[str]:
     """Write one SVG + one text sidecar per (case, schedule) panel.
 
-    Raises EmptySelection when the table has no plottable rows, and
-    ValueError when a frequency falls outside [0, 1].
+    Each panel charts the frequency of the case's best procedure, found
+    by name in the table's procedure list.  Cells of a case whose best
+    procedure is not in that list are skipped with a warning.  Raises
+    EmptySelection when the table has no plottable rows, and ValueError
+    when a frequency falls outside [0, 1].
     """
     panels: dict[tuple[str, str], dict[str, list[tuple[int, float]]]] = {}
+    skipped: dict[str, str | None] = {}
     for row in table.rows:
         if row.excluded or row.error:
             continue
-        scenario = resolve_scenario(row.case)
-        if scenario.best_proc is None or scenario.best_proc >= len(table.procedures):
-            raise ValueError(f"scenario {row.case} has no usable best_proc")
-        best = table.procedures[scenario.best_proc]
+        best = resolve_scenario(row.case).best
+        if best not in table.procedures:
+            skipped[row.case] = best
+            continue
         freq = row.frequencies(table.procedures)[best]
         if not (0.0 <= freq <= 1.0):
             raise ValueError(f"frequency out of [0,1] in cell {row.case}/{row.n}: {freq}")
         panels.setdefault((row.case, row.schedule), {}).setdefault(row.scheme, []).append(
             (row.n, freq)
+        )
+    for case, best in sorted(skipped.items()):
+        warnings.warn(
+            f"not plotting {case}: its best procedure {best!r} is not among {table.procedures}",
+            stacklevel=2,
         )
     if not panels:
         raise EmptySelection("no rows to plot")

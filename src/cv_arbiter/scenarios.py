@@ -39,16 +39,16 @@ def register_function(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None
 class Scenario:
     """A data-generating process.
 
-    ``best_proc`` is the index, within the candidate procedure list a
-    harness run uses, of the procedure known to be best for this
-    scenario; it is validated against that list at run time.
+    ``best`` is the id of the procedure known to be best for this
+    scenario (``"poly:1"``, ``"spline"``, ...), looked up by name in a
+    run's candidate list; None when no procedure is known to be best.
     """
 
     function_id: FunctionId
     params: tuple = ()
     sigma: float = 0.3
     design: str = "uniform-unit"
-    best_proc: int | None = None
+    best: str | None = None
     custom_id: str | None = None
 
     def __post_init__(self):
@@ -125,14 +125,11 @@ def residuals(scenario: Scenario, sample: Sample) -> np.ndarray:
 
 
 # --- scenario registry -------------------------------------------------------
-#
-# best_proc for the three built-in cases assumes the standard candidate list
-# [poly:1, poly:2, spline]; for "mean(mu)" it assumes [zero, mean].
 
 _SCENARIOS: dict[str, Scenario] = {
-    "case1": Scenario(FunctionId.CASE1, sigma=0.3, best_proc=0),
-    "case2": Scenario(FunctionId.CASE2, sigma=0.3, best_proc=1),
-    "case3": Scenario(FunctionId.CASE3, sigma=0.3, best_proc=2),
+    "case1": Scenario(FunctionId.CASE1, sigma=0.3, best="poly:1"),
+    "case2": Scenario(FunctionId.CASE2, sigma=0.3, best="poly:2"),
+    "case3": Scenario(FunctionId.CASE3, sigma=0.3, best="spline"),
 }
 
 
@@ -155,6 +152,6 @@ def resolve_scenario(text: str) -> Scenario:
             FunctionId.MEAN_MODEL,
             params=(mu,),
             sigma=0.3,
-            best_proc=0 if mu == 0.0 else 1,
+            best="zero" if mu == 0.0 else "mean",
         )
     raise UnknownFunction(f"unknown scenario id: {text!r}")

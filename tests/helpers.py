@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cv_arbiter import rng
+
 
 def solve_longdouble(a, rhs):
     """Gaussian elimination with partial pivoting in extended precision.
@@ -34,7 +36,8 @@ def dense_hat_trace(basis_dense, penalty, lam):
 
 
 def _epanechnikov(u):
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    with np.errstate(over="ignore"):  # u * u overflows to inf at a tiny h; the weight is 0
+        return 0.75 * np.maximum(0.0, 1.0 - u * u)
 
 
 def dense_loclin_batch(xt, yt, h, queries, drop_self=False):
@@ -84,3 +87,25 @@ def dense_loclin_batch(xt, yt, h, queries, drop_self=False):
             pred[i] = yt[nearest].mean()
             selfw[i] = 0.0
     return pred, selfw, bool(np.all(ok_line & (npos >= 2)))
+
+
+def sequential_selection_prob(n, n1, mu, sigma, reps, stream):
+    """Reference for ``nested_mean.selection_prob``: the whole draw read
+    from ``stream`` in order, in chunks of 4e6 draws, on one thread."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if not 1 <= n1 <= n - 1:
+        raise ValueError(f"n1 must be in [1, {n - 1}], got {n1}")
+    hits = 0
+    done = 0
+    chunk_rows = max(1, int(4_000_000 // max(n, 1)))
+    mu_term = n1 * (n - 1) * n * mu * mu
+    while done < reps:
+        c = min(chunk_rows, reps - done)
+        eps = sigma * rng.normals(stream, (c, n))
+        s = eps.sum(axis=1)
+        u = np.einsum("ij,ij->i", eps, eps)
+        d = mu_term + n1 * (n - 1) * 2 * mu * s + (n1 + 1) * s * s - (n1 + n) * u
+        hits += int(np.count_nonzero(d > 0))
+        done += c
+    return hits / reps

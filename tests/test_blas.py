@@ -73,3 +73,11 @@ def test_run_experiment_restores_blas_threads(real_libs):
     )
     run_experiment(config)
     assert [get() for get, _ in real_libs] == [2] * len(real_libs)
+
+
+def test_usable_cores_follows_affinity(monkeypatch):
+    monkeypatch.setattr(blas.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(blas.os, "cpu_count", lambda: 64)
+    assert blas.usable_cores() == 1
+    monkeypatch.delattr(blas.os, "sched_getaffinity", raising=False)
+    assert blas.usable_cores() == 64

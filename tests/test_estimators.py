@@ -574,3 +574,11 @@ def test_loclin_batch_delete_one_marks_self():
     # both reproduce the line on linear data
     assert pred_self == pytest.approx(y, abs=1e-10)
     assert pred_loo == pytest.approx(y, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_loclin_tiny_bandwidth_fits_without_overflow_warning():
+    x = rng.uniforms(rng.stream("loclin-tiny"), 50)
+    model = fit_procedure(ProcedureSpec.parse("loclin:1e-300"), Sample(x=x, y=2.0 * x))
+    # no window holds two points, so every prediction is the nearest datum
+    assert model.predict(x[:5]) == pytest.approx(2.0 * x[:5])

@@ -60,7 +60,7 @@ def test_config_validation_errors():
 def test_zero_noise_tiebreak_gives_first_perfect_fit():
     # poly:1 and poly:2 both fit noiseless linear data exactly; the tie
     # rule hands every replication to the first index
-    register_scenario("case1-noiseless", Scenario(FunctionId.CASE1, sigma=0.0, best_proc=0))
+    register_scenario("case1-noiseless", Scenario(FunctionId.CASE1, sigma=0.0, best="poly:1"))
     config = _small_config(cases=["case1-noiseless"], reps=6)
     table = run_experiment(config)
     for row in table.rows:

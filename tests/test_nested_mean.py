@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import sequential_selection_prob
 
 from cv_arbiter import rng
 from cv_arbiter.errors import ExhaustiveTooLarge, OverflowRisk
@@ -126,6 +127,48 @@ def test_selection_prob_increasing_in_n1():
         for n1 in (10, 30, 50)
     ]
     assert vals[0] < vals[1] < vals[2]
+
+
+def _pre_drawn(stream, pre):
+    """Leave ``stream`` part way into its block: ``pre`` 53-bit words
+    drawn, or one 32-bit draw ("u32") that also leaves a 32-bit carry."""
+    if pre == "u32":
+        stream.integers(0, 10)
+    else:
+        stream.integers(0, 1 << 53, size=pre)
+    return stream
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, n1, mu, sigma, reps, pre",
+    [
+        (20, 10, 0.0, 1.0, 10_000, 0),  # 4 chunks, the last a remainder
+        (33, 17, 0.0, 1.0, 5_000, 0),  # odd n: chunk starts off the 4-word grid
+        (33, 17, 0.0, 1.0, 100, 1),  # below one chunk
+        (7, 3, 0.0, 1.0, 1, 2),  # a single replication
+        (101, 50, 0.2, 1.0, 3_000, 3),  # mu != 0
+        (21, 10, 0.0, 0.0, 5_000, 1),  # sigma = 0: every d is 0
+        (999, 500, 0.0, 1.0, 4_100, "u32"),  # two 4e6-draw chunks of the oracle
+        (70_001, 35_000, 0.1, 1.0, 3, 3),  # n above a chunk: one row each
+    ],
+)
+def test_selection_prob_bit_identical_to_sequential(n, n1, mu, sigma, reps, pre, workers):
+    got_stream = _pre_drawn(rng.stream("sp-bits", n, reps), pre)
+    want_stream = _pre_drawn(rng.stream("sp-bits", n, reps), pre)
+    got = selection_prob(n, n1, mu, sigma, reps, got_stream, workers=workers)
+    assert got == sequential_selection_prob(n, n1, mu, sigma, reps, want_stream)
+    # the caller's stream ends where the sequential draw leaves it
+    assert got_stream.integers(0, 1 << 53) == want_stream.integers(0, 1 << 53)
+    assert got_stream.integers(0, 10, size=3).tolist() == want_stream.integers(0, 10, size=3).tolist()
+
+
+def test_selection_prob_argument_checks():
+    with pytest.raises(ValueError, match="reps"):
+        selection_prob(20, 10, 0.0, 1.0, 0, rng.stream("sp-bad"))
+    for n1 in (0, 20):
+        with pytest.raises(ValueError, match="n1"):
+            selection_prob(20, n1, 0.0, 1.0, 10, rng.stream("sp-bad"))
 
 
 def test_f_reference_limits():

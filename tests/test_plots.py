@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from cv_arbiter.errors import EmptySelection
@@ -5,8 +7,8 @@ from cv_arbiter.harness import CellResult, FrequencyTable, reproduce_case
 from cv_arbiter.plots import emit_plot
 
 
-def _table(rows):
-    return FrequencyTable(procedures=["poly:1", "poly:2", "spline"], master_seed=1, rows=rows)
+def _table(rows, procedures=("poly:1", "poly:2", "spline")):
+    return FrequencyTable(procedures=list(procedures), master_seed=1, rows=rows)
 
 
 def _cell(case="case1", n=100, schedule="ratio:5:5", scheme="single", winners=(0, 0, 1)):
@@ -43,6 +45,23 @@ def test_multi_size_panel_draws_polylines(tmp_path):
     assert len(svg) == 1
     content = open(svg[0]).read()
     assert content.count("polyline") == 2  # one per scheme
+
+
+def test_best_procedure_found_by_name_in_any_order(tmp_path):
+    # winners index ["poly:2", "poly:1", "spline"]: poly:1, case1's best, won 3 of 4
+    table = _table([_cell(winners=(1, 0, 1, 1))], procedures=("poly:2", "poly:1", "spline"))
+    written = emit_plot(table, str(tmp_path))
+    sidecar = open([p for p in written if p.endswith(".txt")][0]).read().split("\n")
+    assert sidecar[1] == "100 single 0.750000"
+
+
+def test_case_without_its_best_procedure_is_skipped(tmp_path):
+    rows = [_cell(case="case2", winners=(0, 1)), _cell(case="case1", winners=(0, 0))]
+    with pytest.warns(UserWarning, match="case2.*'poly:2'"):
+        written = emit_plot(_table(rows, procedures=("poly:1", "spline")), str(tmp_path))
+    assert [os.path.basename(p) for p in written] == ["case1_ratio-5-5.svg", "case1_ratio-5-5.txt"]
+    with pytest.warns(UserWarning), pytest.raises(EmptySelection):
+        emit_plot(_table(rows[:1], procedures=("poly:1", "spline")), str(tmp_path))
 
 
 def test_rejects_out_of_range_frequency(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cv_arbiter import rng
 
@@ -29,3 +30,28 @@ def test_distinct_labels_give_unrelated_streams():
     z1 = rng.normals(rng.stream(3, "sample"), 1000)
     z2 = rng.normals(rng.stream(3, "splits"), 1000)
     assert abs(float(np.corrcoef(z1, z2)[0, 1])) < 0.1
+
+
+@pytest.mark.parametrize("pre", [0, 1, 2, 3, 4, 5])
+def test_seek_matches_sequential_draws(pre):
+    words = rng.stream("seek").integers(0, 1 << 53, size=pre + 40)
+    for draws in range(0, 33):
+        gen = rng.stream("seek")
+        gen.integers(0, 1 << 53, size=pre)
+        moved = rng.seek(gen, draws)
+        assert moved.integers(0, 1 << 53, size=4).tolist() == words[pre + draws : pre + draws + 4].tolist()
+        assert gen.integers(0, 1 << 53) == words[pre]  # the source stream did not move
+
+
+def test_seek_keeps_the_32_bit_carry():
+    seq, gen = rng.stream("carry"), rng.stream("carry")
+    seq.integers(0, 10)
+    gen.integers(0, 10)  # draws one 64-bit word, keeps half of it for the next 32-bit draw
+    seq.integers(0, 1 << 53, size=11)
+    moved = rng.seek(gen, 11)
+    assert moved.integers(0, 10, size=5).tolist() == seq.integers(0, 10, size=5).tolist()
+
+
+def test_seek_rejects_negative_draws():
+    with pytest.raises(ValueError):
+        rng.seek(rng.stream("neg"), -1)

@@ -42,8 +42,8 @@ def test_true_f_matches_direct_transcription():
 def test_mean_model_returns_mu():
     scen = resolve_scenario("mean(2.5)")
     assert true_f(scen, 0.1) == 2.5
-    assert scen.best_proc == 1
-    assert resolve_scenario("mean(0)").best_proc == 0
+    assert scen.best == "mean"
+    assert resolve_scenario("mean(0)").best == "zero"
 
 
 def test_gen_sample_bit_reproducible():
