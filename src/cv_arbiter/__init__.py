@@ -14,7 +14,6 @@ from .errors import CvArbiterError
 from .estimators import (
     FittedModel,
     LambdaGrid,
-    ProcedureKind,
     ProcedureSpec,
     fit_local_linear,
     fit_mean_model,
@@ -41,11 +40,9 @@ from .nested_mean import (
 from .plots import emit_plot
 from .rng import stream
 from .scenarios import (
-    FunctionId,
     Sample,
     Scenario,
     gen_sample,
-    register_function,
     register_scenario,
     residuals,
     resolve_scenario,
@@ -55,9 +52,6 @@ from .selection import (
     SelectionOutcome,
     cv_criterion,
     run_selection,
-    select_averaging,
-    select_single,
-    select_voting,
 )
 from .splits import SelectionScheme, SplitPlan, SplitSchedule, make_splits
 

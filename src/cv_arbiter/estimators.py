@@ -12,8 +12,7 @@ and every returned prediction function is total on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,14 +28,6 @@ from .errors import (
 from .scenarios import Sample
 
 MAX_INTERIOR_SITES = 35  # cap on distinct knot sites (incl. the two boundary knots)
-
-
-class ProcedureKind(Enum):
-    POLYNOMIAL = "polynomial"
-    MEAN_ZERO = "mean-zero"
-    MEAN_CONSTANT = "mean-constant"
-    SMOOTHING_SPLINE = "smoothing-spline"
-    LOCAL_LINEAR = "local-linear"
 
 
 @dataclass(frozen=True)
@@ -85,56 +76,24 @@ class ProcedureSpec:
     """A candidate procedure, addressable by a string id.
 
     Ids: ``poly:d``, ``zero``, ``mean``, ``spline``, ``loclin:h`` or
-    ``loclin:auto``.
+    ``loclin:auto``.  ``name`` is the id's key in ``PROCEDURES`` and
+    ``arg`` its parsed argument, None for an id without one.
     """
 
-    kind: ProcedureKind
-    degree: int | None = None
-    grid: LambdaGrid = field(default_factory=LambdaGrid)
-    bandwidth: float | str | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kind is ProcedureKind.POLYNOMIAL:
-            if self.degree is None or self.degree < 0:
-                raise ValueError("polynomial degree must be >= 0")
-        if self.kind is ProcedureKind.LOCAL_LINEAR:
-            if self.bandwidth != "auto" and not (
-                isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0
-            ):
-                raise ValueError("bandwidth must be positive or 'auto'")
-        if not self.label:
-            object.__setattr__(self, "label", self.id)
+    name: str
+    arg: int | float | str | None = None
 
     @property
     def id(self) -> str:
-        k = self.kind
-        if k is ProcedureKind.POLYNOMIAL:
-            return f"poly:{self.degree}"
-        if k is ProcedureKind.MEAN_ZERO:
-            return "zero"
-        if k is ProcedureKind.MEAN_CONSTANT:
-            return "mean"
-        if k is ProcedureKind.SMOOTHING_SPLINE:
-            return "spline"
-        return f"loclin:{self.bandwidth}"
+        return self.name if self.arg is None else f"{self.name}:{self.arg}"
 
     @classmethod
     def parse(cls, text: str) -> "ProcedureSpec":
-        t = text.strip()
-        if t == "zero":
-            return cls(ProcedureKind.MEAN_ZERO)
-        if t == "mean":
-            return cls(ProcedureKind.MEAN_CONSTANT)
-        if t == "spline":
-            return cls(ProcedureKind.SMOOTHING_SPLINE)
-        if t.startswith("poly:"):
-            return cls(ProcedureKind.POLYNOMIAL, degree=int(t[5:]))
-        if t.startswith("loclin:"):
-            arg = t[7:]
-            bw: float | str = "auto" if arg == "auto" else float(arg)
-            return cls(ProcedureKind.LOCAL_LINEAR, bandwidth=bw)
-        raise ValueError(f"unknown procedure id: {text!r}")
+        name, colon, arg = text.strip().partition(":")
+        entry = PROCEDURES.get(name)
+        if entry is None or (entry.parse_arg is None) == bool(colon):
+            raise ValueError(f"unknown procedure id: {text!r}")
+        return cls(name, entry.parse_arg(arg) if colon else None)
 
 
 @dataclass(frozen=True)
@@ -629,22 +588,39 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
     )
 
 
-# --- dispatch ------------------------------------------------------------------
+# --- the procedure table --------------------------------------------------------
+
+
+def _degree(text: str) -> int:
+    degree = int(text)
+    if degree < 0:
+        raise ValueError("polynomial degree must be >= 0")
+    return degree
+
+
+def _bandwidth(text: str) -> float | str:
+    if text == "auto":
+        return text
+    h = float(text)
+    if not h > 0:
+        raise ValueError("bandwidth must be positive or 'auto'")
+    return h
+
+
+class Procedure(NamedTuple):
+    parse_arg: Callable[[str], object] | None  # None: the id takes no argument
+    fit: Callable[[Sample, object], FittedModel]  # (sample, arg) -> model
+
+
+PROCEDURES: dict[str, Procedure] = {
+    "poly": Procedure(_degree, fit_polynomial),
+    "zero": Procedure(None, lambda sample, _: fit_mean_model(sample, with_mean=False)),
+    "mean": Procedure(None, lambda sample, _: fit_mean_model(sample, with_mean=True)),
+    "spline": Procedure(None, fit_smoothing_spline),  # arg None: the default grid
+    "loclin": Procedure(_bandwidth, fit_local_linear),
+}
 
 
 def fit_procedure(spec: ProcedureSpec, sample: Sample) -> FittedModel:
     """Fit one candidate procedure on a sample."""
-    k = spec.kind
-    if k is ProcedureKind.POLYNOMIAL:
-        return fit_polynomial(sample, spec.degree)
-    if k is ProcedureKind.MEAN_ZERO:
-        return fit_mean_model(sample, with_mean=False)
-    if k is ProcedureKind.MEAN_CONSTANT:
-        return fit_mean_model(sample, with_mean=True)
-    if k is ProcedureKind.SMOOTHING_SPLINE:
-        return fit_smoothing_spline(sample, spec.grid)
-    return fit_local_linear(sample, spec.bandwidth)
-
-
-def parse_procedures(texts) -> list[ProcedureSpec]:
-    return [ProcedureSpec.parse(t) for t in texts]
+    return PROCEDURES[spec.name].fit(sample, spec.arg)

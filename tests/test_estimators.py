@@ -14,8 +14,8 @@ from cv_arbiter.errors import (
     SampleTooSmall,
 )
 from cv_arbiter.estimators import (
+    PROCEDURES,
     LambdaGrid,
-    ProcedureKind,
     ProcedureSpec,
     _loclin_batch,
     _spline_design,
@@ -552,17 +552,20 @@ def test_dof_at_most_train_n():
 
 
 def test_procedure_spec_parse_roundtrip():
-    for text in ("poly:2", "zero", "mean", "spline", "loclin:auto", "loclin:0.5"):
+    names = set()
+    for text in ("poly:0", "poly:2", "zero", "mean", "spline", "loclin:auto", "loclin:0.5"):
         spec = ProcedureSpec.parse(text)
         assert spec.id == text
-        assert spec.label == text
-    assert ProcedureSpec.parse("poly:0").kind is ProcedureKind.POLYNOMIAL
-    with pytest.raises(ValueError):
-        ProcedureSpec.parse("wavelet")
-    with pytest.raises(ValueError):
-        ProcedureSpec.parse("loclin:-1")
-    with pytest.raises(ValueError):
-        ProcedureSpec(ProcedureKind.POLYNOMIAL, degree=-1)
+        assert ProcedureSpec.parse(spec.id) == spec
+        names.add(spec.name)
+    assert names == set(PROCEDURES)
+    assert ProcedureSpec.parse("poly:0") == ProcedureSpec("poly", 0)
+    # a numeric bandwidth prints as the float it parses to
+    assert ProcedureSpec.parse("loclin:5").id == "loclin:5.0"
+    for bad in ("wavelet", "loclin:-1", "zero:1", "poly:", "poly", "poly:-1", "loclin:0",
+                "loclin:nan"):
+        with pytest.raises(ValueError):
+            ProcedureSpec.parse(bad)
 
 
 def test_loclin_batch_delete_one_marks_self():
