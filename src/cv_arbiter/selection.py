@@ -1,9 +1,11 @@
-"""The selection engine: criterion, per-split evaluation, and the three
-selection rules (single split, averaging, voting).
+"""The selection engine: the hold-out criterion, per-split evaluation,
+and one selection rule over a split plan.
 
 Within one plan every procedure sees exactly the same splits, and each
-procedure is fitted once per split.  Ties always break toward the
-lowest procedure index.
+procedure is fitted once per split.  Voting schemes select the
+procedure that wins the most splits; every other scheme selects the
+lowest criterion averaged over splits, the single split being a plan
+of one split.  Ties always break toward the lowest procedure index.
 """
 
 from __future__ import annotations
@@ -53,20 +55,7 @@ class SelectionOutcome:
     per_split_criteria: np.ndarray
     votes: np.ndarray
     averaged: np.ndarray
-    scheme_used: str
-    schedule_used: str
     disqualified: dict[int, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "selected": self.selected,
-            "votes": self.votes.tolist(),
-            "averaged": [None if not np.isfinite(v) else v for v in self.averaged],
-            "scheme": self.scheme_used,
-            "schedule": self.schedule_used,
-            "splits": len(self.per_split_criteria),
-            "disqualified": {str(k): v for k, v in self.disqualified.items()},
-        }
 
 
 def _criteria_matrix(
@@ -112,60 +101,25 @@ def averaged_criteria(crit: np.ndarray) -> np.ndarray:
     return crit.mean(axis=0)
 
 
-def _outcome(crit, disqualified, selected, plan, schedule_id) -> SelectionOutcome:
-    return SelectionOutcome(
-        selected=int(selected),
-        per_split_criteria=crit,
-        votes=tally_votes(crit),
-        averaged=averaged_criteria(crit),
-        scheme_used=plan.scheme_id,
-        schedule_used=schedule_id,
-        disqualified=disqualified,
-    )
-
-
-def select_single(
-    procedures: list[ProcedureSpec],
-    sample: Sample,
-    schedule: SplitSchedule,
-    stream: np.random.Generator,
+def select_on_plan(
+    procedures: list[ProcedureSpec], sample: Sample, plan: SplitPlan, aggregate: str
 ) -> SelectionOutcome:
-    """Fit on one split's estimation half, select the criterion argmin."""
-    plan = make_splits(sample.n, schedule, SelectionScheme("single", "single"), stream)
-    crit, dq = _criteria_matrix(procedures, sample, plan)
-    return _outcome(crit, dq, np.argmin(_masked(crit[0])), plan, schedule.id)
+    """Score every procedure on every split of the plan and select one.
 
-
-def select_averaging(
-    procedures: list[ProcedureSpec], sample: Sample, plan: SplitPlan,
-    schedule_id: str = "",
-) -> SelectionOutcome:
-    """Average the criterion over all splits, then select the argmin.
-
-    The mean is over splits, unweighted, even when k-fold evaluation
-    sizes differ by one.
+    ``aggregate`` is a scheme's: ``"vote"`` selects the plurality of the
+    per-split winners, so with two candidates procedure 0 wins when it
+    wins at least half the splits.  Anything else selects the argmin of
+    the mean criterion over splits, unweighted even when k-fold
+    evaluation sizes differ by one; the mean of one split is that
+    split's criterion exactly.
     """
     if len(plan) < 1:
         raise ValueError("plan must contain at least one split")
-    crit, dq = _criteria_matrix(procedures, sample, plan)
-    return _outcome(crit, dq, np.argmin(_masked(averaged_criteria(crit))), plan, schedule_id)
-
-
-def select_voting(
-    procedures: list[ProcedureSpec], sample: Sample, plan: SplitPlan,
-    schedule_id: str = "",
-) -> SelectionOutcome:
-    """Pick each split's winner, then select the plurality winner.
-
-    Vote ties resolve toward the lowest procedure index, the
-    two-candidate rule being: procedure 0 wins when it wins at least
-    half the splits.
-    """
-    if len(plan) < 1:
-        raise ValueError("plan must contain at least one split")
-    crit, dq = _criteria_matrix(procedures, sample, plan)
+    crit, disqualified = _criteria_matrix(procedures, sample, plan)
     votes = tally_votes(crit)
-    return _outcome(crit, dq, np.argmax(votes), plan, schedule_id)
+    averaged = averaged_criteria(crit)
+    selected = np.argmax(votes) if aggregate == "vote" else np.argmin(_masked(averaged))
+    return SelectionOutcome(int(selected), crit, votes, averaged, disqualified)
 
 
 def run_selection(
@@ -175,10 +129,6 @@ def run_selection(
     scheme: SelectionScheme,
     stream: np.random.Generator,
 ) -> SelectionOutcome:
-    """Generate splits for the scheme and run the matching selector."""
-    if scheme.aggregate == "single":
-        return select_single(procedures, sample, schedule, stream)
+    """Draw the scheme's split plan from the stream and select on it."""
     plan = make_splits(sample.n, schedule, scheme, stream)
-    if scheme.aggregate == "average":
-        return select_averaging(procedures, sample, plan, schedule.id)
-    return select_voting(procedures, sample, plan, schedule.id)
+    return select_on_plan(procedures, sample, plan, scheme.aggregate)

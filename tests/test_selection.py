@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,17 @@ from cv_arbiter import rng
 from cv_arbiter.errors import AllProceduresFailed, NonFinitePrediction
 from cv_arbiter.estimators import FittedModel, ProcedureSpec, fit_polynomial
 from cv_arbiter.nested_mean import NestedMeanInstance, normalized_cv_diff
-from cv_arbiter.scenarios import Sample, Scenario, FunctionId, gen_sample, resolve_scenario
+from cv_arbiter.scenarios import Sample, gen_sample, resolve_scenario
 from cv_arbiter.selection import (
     averaged_criteria,
     cv_criterion,
     run_selection,
-    select_averaging,
-    select_single,
-    select_voting,
+    select_on_plan,
     tally_votes,
 )
 from cv_arbiter.splits import SelectionScheme, SplitPlan, SplitSchedule, make_splits
+
+SINGLE = SelectionScheme.parse("single")
 
 
 def _model(fn, label="m"):
@@ -95,16 +97,17 @@ def test_two_procedure_vote_matches_majority_rule():
 def test_single_tie_selects_first_procedure():
     s = gen_sample(resolve_scenario("case1"), 40, rng.stream("tie"))
     procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("zero")]
-    out = select_single(procs, s, SplitSchedule.parse("ratio:5:5"), rng.stream("tie-split"))
+    out = run_selection(procs, s, SplitSchedule.parse("ratio:5:5"), SINGLE, rng.stream("tie-split"))
     assert out.selected == 0
     assert out.per_split_criteria[0, 0] == out.per_split_criteria[0, 1]
 
 
 def test_single_zero_noise_perfect_fit_wins():
-    scen = Scenario(FunctionId.CASE1, sigma=0.0)
+    scen = replace(resolve_scenario("case1"), sigma=0.0)
     s = gen_sample(scen, 50, rng.stream("perfect"))
     procs = [ProcedureSpec.parse("poly:1"), ProcedureSpec.parse("zero")]
-    out = select_single(procs, s, SplitSchedule.parse("ratio:5:5"), rng.stream("perfect-split"))
+    sched = SplitSchedule.parse("ratio:5:5")
+    out = run_selection(procs, s, sched, SINGLE, rng.stream("perfect-split"))
     assert out.selected == 0
     assert out.per_split_criteria[0, 0] == pytest.approx(0.0, abs=1e-18)
 
@@ -118,7 +121,7 @@ def test_single_case3_spline_dominates():
     wins = 0
     for rep in range(100):
         s = gen_sample(scen, 400, rng.stream("case3-single", rep, "sample"))
-        out = select_single(procs, s, sched, rng.stream("case3-single", rep, "split"))
+        out = run_selection(procs, s, sched, SINGLE, rng.stream("case3-single", rep, "split"))
         wins += int(out.selected == 2)
     assert wins >= 90
 
@@ -127,9 +130,9 @@ def test_averaging_of_one_split_equals_single():
     s = gen_sample(resolve_scenario("case2"), 60, rng.stream("avg1"))
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     sched = SplitSchedule.parse("ratio:5:5")
-    single = select_single(procs, s, sched, rng.stream("avg1-split"))
-    plan = make_splits(s.n, sched, SelectionScheme.parse("single"), rng.stream("avg1-split"))
-    averaged = select_averaging(procs, s, plan, sched.id)
+    single = run_selection(procs, s, sched, SINGLE, rng.stream("avg1-split"))
+    plan = make_splits(s.n, sched, SINGLE, rng.stream("avg1-split"))
+    averaged = select_on_plan(procs, s, plan, "average")
     assert averaged.selected == single.selected
     assert averaged.per_split_criteria == pytest.approx(single.per_split_criteria)
 
@@ -138,7 +141,7 @@ def test_averaged_column_means_match_matrix():
     s = gen_sample(resolve_scenario("case2"), 40, rng.stream("avgcol"))
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     plan = make_splits(s.n, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("rlt:7"), rng.stream("avgcol-s"))
-    out = select_averaging(procs, s, plan)
+    out = select_on_plan(procs, s, plan, "average")
     assert out.averaged == pytest.approx(out.per_split_criteria.mean(axis=0), abs=1e-12)
     assert int(np.sum(out.votes)) == 7
 
@@ -166,7 +169,7 @@ def test_voting_unanimity():
     s = gen_sample(scen, 200, rng.stream("unanimous"))
     procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("poly:1")]
     plan = make_splits(s.n, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("rsv:12"), rng.stream("u-s"))
-    out = select_voting(procs, s, plan)
+    out = select_on_plan(procs, s, plan, "vote")
     # the line always beats predicting zero on this scenario
     assert out.votes.tolist() == [0, 12]
     assert out.selected == 1
@@ -176,14 +179,15 @@ def test_run_selection_dispatch_matches_components():
     s = gen_sample(resolve_scenario("case2"), 80, rng.stream("dispatch"))
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     sched = SplitSchedule.parse("ratio:5:5")
-    direct = select_single(procs, s, sched, rng.stream("d", 1))
-    via_run = run_selection(procs, s, sched, SelectionScheme.parse("single"), rng.stream("d", 1))
+    plan = make_splits(s.n, sched, SINGLE, rng.stream("d", 1))
+    direct = select_on_plan(procs, s, plan, "single")
+    via_run = run_selection(procs, s, sched, SINGLE, rng.stream("d", 1))
     assert direct.selected == via_run.selected
     assert direct.per_split_criteria == pytest.approx(via_run.per_split_criteria)
 
     scheme = SelectionScheme.parse("rsv:9")
     plan = make_splits(s.n, sched, scheme, rng.stream("d", 2))
-    direct_v = select_voting(procs, s, plan, sched.id)
+    direct_v = select_on_plan(procs, s, plan, "vote")
     via_run_v = run_selection(procs, s, sched, scheme, rng.stream("d", 2))
     assert direct_v.selected == via_run_v.selected
     assert direct_v.votes.tolist() == via_run_v.votes.tolist()
@@ -216,9 +220,9 @@ def test_outcome_invariant_to_plan_presentation_order():
         (np.asarray(est)[g.permutation(len(est))], ev) for est, ev in shuffled_splits
     )
     shuffled = SplitPlan(shuffled_splits, plan.scheme_id, plan.n, plan.n1)
-    for selector in (select_averaging, select_voting):
-        a = selector(procs, s, plan)
-        b = selector(procs, s, shuffled)
+    for aggregate in ("average", "vote"):
+        a = select_on_plan(procs, s, plan, aggregate)
+        b = select_on_plan(procs, s, shuffled, aggregate)
         assert a.selected == b.selected
         assert np.sort(a.averaged) == pytest.approx(np.sort(b.averaged))
 
