@@ -6,7 +6,7 @@ class CvArbiterError(Exception):
 
 
 class UnknownFunction(CvArbiterError):
-    """A custom scenario function id has not been registered."""
+    """A scenario id names no known scenario."""
 
 
 class RankDeficient(CvArbiterError):

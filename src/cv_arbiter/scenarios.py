@@ -1,15 +1,15 @@
-"""Data-generating scenarios: true regression functions, noise, design.
+"""Data-generating scenarios: true regression functions and noise.
 
-A :class:`Scenario` couples a true function with a noise level and a
-design distribution, and records which candidate procedure is known to
-be the best for it.  Samples are drawn through :mod:`cv_arbiter.rng`
-streams so that generation is reproducible bit-for-bit.
+A :class:`Scenario` couples a true function with a noise level and
+records which candidate procedure is known to be the best for it.
+Samples are drawn through :mod:`cv_arbiter.rng` streams so that
+generation is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -18,46 +18,24 @@ from . import rng
 from .errors import UnknownFunction
 
 
-class FunctionId(str, Enum):
-    CASE1 = "case1"
-    CASE2 = "case2"
-    CASE3 = "case3"
-    MEAN_MODEL = "mean"
-    CUSTOM = "custom"
-
-
-# Registry of callables backing FunctionId.CUSTOM scenarios.
-_CUSTOM_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
-
-
-def register_function(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Register a vectorized true function usable via ``custom_id=name``."""
-    _CUSTOM_FUNCTIONS[name] = fn
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A data-generating process.
+    """A data-generating process: y = f(x) + sigma * z, x ~ Uniform(0, 1).
 
+    ``f`` is any vectorized function of an x array; the built-in ones
+    are module-level functions or partials of them, so scenarios pickle.
     ``best`` is the id of the procedure known to be best for this
     scenario (``"poly:1"``, ``"spline"``, ...), looked up by name in a
     run's candidate list; None when no procedure is known to be best.
     """
 
-    function_id: FunctionId
-    params: tuple = ()
+    f: Callable[[np.ndarray], np.ndarray]
     sigma: float = 0.3
-    design: str = "uniform-unit"
     best: str | None = None
-    custom_id: str | None = None
 
     def __post_init__(self):
         if not (self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.design != "uniform-unit":
-            raise ValueError(f"unsupported design: {self.design}")
-        if self.function_id is FunctionId.MEAN_MODEL and len(self.params) != 1:
-            raise ValueError("mean-model scenario needs exactly one parameter")
 
 
 @dataclass(frozen=True)
@@ -89,23 +67,7 @@ def true_f(scenario: Scenario, x):
 
     Accepts a scalar or an array; returns the matching shape.
     """
-    xv = np.asarray(x, dtype=float)
-    fid = scenario.function_id
-    if fid is FunctionId.CASE1:
-        out = 1.0 + xv
-    elif fid is FunctionId.CASE2:
-        out = 1.0 + xv + 0.7 * (xv - 0.5) ** 2
-    elif fid is FunctionId.CASE3:
-        out = 1.0 + xv - np.exp(-200.0 * (xv - 0.25) ** 2)
-    elif fid is FunctionId.MEAN_MODEL:
-        out = np.full_like(xv, float(scenario.params[0]))
-    elif fid is FunctionId.CUSTOM:
-        fn = _CUSTOM_FUNCTIONS.get(scenario.custom_id or "")
-        if fn is None:
-            raise UnknownFunction(f"custom function not registered: {scenario.custom_id!r}")
-        out = np.asarray(fn(xv), dtype=float)
-    else:  # pragma: no cover - enum is closed
-        raise UnknownFunction(str(fid))
+    out = np.asarray(scenario.f(np.asarray(x, dtype=float)), dtype=float)
     return out if np.ndim(x) else float(out)
 
 
@@ -126,10 +88,27 @@ def residuals(scenario: Scenario, sample: Sample) -> np.ndarray:
 
 # --- scenario registry -------------------------------------------------------
 
+
+def _case1(x):
+    return 1.0 + x
+
+
+def _case2(x):
+    return 1.0 + x + 0.7 * (x - 0.5) ** 2
+
+
+def _case3(x):
+    return 1.0 + x - np.exp(-200.0 * (x - 0.25) ** 2)
+
+
+def _constant(mu, x):
+    return np.full_like(x, mu)
+
+
 _SCENARIOS: dict[str, Scenario] = {
-    "case1": Scenario(FunctionId.CASE1, sigma=0.3, best="poly:1"),
-    "case2": Scenario(FunctionId.CASE2, sigma=0.3, best="poly:2"),
-    "case3": Scenario(FunctionId.CASE3, sigma=0.3, best="spline"),
+    "case1": Scenario(_case1, sigma=0.3, best="poly:1"),
+    "case2": Scenario(_case2, sigma=0.3, best="poly:2"),
+    "case3": Scenario(_case3, sigma=0.3, best="spline"),
 }
 
 
@@ -148,10 +127,5 @@ def resolve_scenario(text: str) -> Scenario:
             mu = float(key[5:-1])
         except ValueError:
             raise UnknownFunction(f"bad mean-model parameter in {text!r}") from None
-        return Scenario(
-            FunctionId.MEAN_MODEL,
-            params=(mu,),
-            sigma=0.3,
-            best="zero" if mu == 0.0 else "mean",
-        )
+        return Scenario(partial(_constant, mu), sigma=0.3, best="zero" if mu == 0.0 else "mean")
     raise UnknownFunction(f"unknown scenario id: {text!r}")

@@ -35,7 +35,7 @@ from cv_arbiter.nested_mean import (
     selection_prob,
     split_count_factor,
 )
-from cv_arbiter.scenarios import FunctionId, Sample, Scenario, gen_sample
+from cv_arbiter.scenarios import Sample, gen_sample, resolve_scenario
 
 
 def _best_freq(table, case, n, schedule, scheme):
@@ -203,14 +203,14 @@ def test_c7_estimator_property_suite():
 
 @pytest.mark.acceptance
 def test_c8_norm_and_rate_anchors():
-    zero_scen = Scenario(FunctionId.MEAN_MODEL, params=(0.0,), sigma=0.3)
+    zero_scen = resolve_scenario("mean(0)")
     ident = FittedModel(predict=lambda v: np.asarray(v, float), dof=0.0, train_n=1)
     l2, se2 = empirical_norm(ident, zero_scen, 2, 100_000, rng.stream("c8", 2))
     assert abs(l2 - 3 ** -0.5) <= 3 * se2
     l4, se4 = empirical_norm(ident, zero_scen, 4, 100_000, rng.stream("c8", 4))
     assert abs(l4 - 5 ** -0.25) <= 3 * se4
 
-    mean_scen = Scenario(FunctionId.MEAN_MODEL, params=(1.0,), sigma=0.3)
+    mean_scen = resolve_scenario("mean(1)")
     slope = rate_slope(
         ProcedureSpec.parse("mean"), mean_scen, [50, 100, 200, 400, 800], 200,
         rng.stream("c8-slope"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,14 @@ from cv_arbiter.diagnostics import (
 )
 from cv_arbiter.errors import DegenerateRisk
 from cv_arbiter.estimators import FittedModel, ProcedureSpec
-from cv_arbiter.scenarios import FunctionId, Scenario, resolve_scenario
+from cv_arbiter.scenarios import resolve_scenario
 from cv_arbiter.splits import SplitSchedule
 
 CASE1 = resolve_scenario("case1")
 CASE2 = resolve_scenario("case2")
 CASE3 = resolve_scenario("case3")
-MEAN_MODEL = Scenario(FunctionId.MEAN_MODEL, params=(1.0,), sigma=0.3)
-ZERO_SCEN = Scenario(FunctionId.MEAN_MODEL, params=(0.0,), sigma=0.3)
+MEAN_MODEL = resolve_scenario("mean(1)")
+ZERO_SCEN = resolve_scenario("mean(0)")
 P = ProcedureSpec.parse
 
 
@@ -89,7 +91,7 @@ def test_rate_slope_preconditions():
 
 
 def test_rate_slope_degenerate_risk():
-    noiseless = Scenario(FunctionId.MEAN_MODEL, params=(0.0,), sigma=0.0)
+    noiseless = replace(ZERO_SCEN, sigma=0.0)
     with pytest.raises(DegenerateRisk):
         rate_slope(P("zero"), noiseless, [50, 100, 200], 20, rng.stream("deg"))
 
@@ -126,7 +128,7 @@ def test_condition_scales_spline_ratio_bounded():
 
 
 def test_condition_scales_degenerate_risk():
-    noiseless = Scenario(FunctionId.MEAN_MODEL, params=(0.0,), sigma=0.0)
+    noiseless = replace(ZERO_SCEN, sigma=0.0)
     with pytest.raises(DegenerateRisk):
         condition_scales(P("zero"), noiseless, 50, 50, rng.stream("cs-deg"))
 

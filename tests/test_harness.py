@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cv_arbiter.harness import (
     select_from_csv,
     study_exclusion,
 )
-from cv_arbiter.scenarios import FunctionId, Scenario, register_scenario
+from cv_arbiter.scenarios import register_scenario, resolve_scenario
 
 
 def _small_config(**overrides):
@@ -60,7 +61,7 @@ def test_config_validation_errors():
 def test_zero_noise_tiebreak_gives_first_perfect_fit():
     # poly:1 and poly:2 both fit noiseless linear data exactly; the tie
     # rule hands every replication to the first index
-    register_scenario("case1-noiseless", Scenario(FunctionId.CASE1, sigma=0.0, best="poly:1"))
+    register_scenario("case1-noiseless", replace(resolve_scenario("case1"), sigma=0.0))
     config = _small_config(cases=["case1-noiseless"], reps=6)
     table = run_experiment(config)
     for row in table.rows:

@@ -1,14 +1,15 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cv_arbiter import rng
 from cv_arbiter.errors import UnknownFunction
 from cv_arbiter.scenarios import (
-    FunctionId,
     Sample,
     Scenario,
     gen_sample,
-    register_function,
     residuals,
     resolve_scenario,
     true_f,
@@ -55,14 +56,14 @@ def test_gen_sample_bit_reproducible():
 
 
 def test_gen_sample_zero_noise_is_exact():
-    scen = Scenario(FunctionId.CASE1, sigma=0.0)
+    scen = replace(CASE1, sigma=0.0)
     s = gen_sample(scen, 5, rng.stream(3))
     assert np.array_equal(s.y, 1.0 + s.x)
 
 
 def test_mean_model_clt_anchor():
     # CLT bound, cross-checked with an independent generator.
-    scen = Scenario(FunctionId.MEAN_MODEL, params=(0.0,), sigma=1.0)
+    scen = replace(resolve_scenario("mean(0)"), sigma=1.0)
     s = gen_sample(scen, 100_000, rng.stream(5, "clt"))
     assert abs(float(np.mean(s.y))) < 0.02
     other = np.random.default_rng(5).standard_normal(100_000)
@@ -70,13 +71,13 @@ def test_mean_model_clt_anchor():
 
 
 def test_residuals_zero_sigma():
-    scen = Scenario(FunctionId.CASE2, sigma=0.0)
+    scen = replace(CASE2, sigma=0.0)
     s = gen_sample(scen, 40, rng.stream(9))
     assert np.max(np.abs(residuals(scen, s))) == 0.0
 
 
 def test_residuals_mean_model_by_hand():
-    scen = Scenario(FunctionId.MEAN_MODEL, params=(2.0,), sigma=0.3)
+    scen = resolve_scenario("mean(2)")
     s = Sample(x=np.array([0.2, 0.8]), y=np.array([2.1, 1.9]))
     assert residuals(scen, s) == pytest.approx([0.1, -0.1])
 
@@ -114,20 +115,24 @@ def test_sample_is_immutable():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(FunctionId.CASE1, sigma=-0.1)
+        replace(CASE1, sigma=-0.1)
     with pytest.raises(ValueError):
-        Scenario(FunctionId.MEAN_MODEL, params=())
+        Scenario(np.sin, sigma=float("nan"))
 
 
-def test_custom_function_registry():
-    register_function("bump", lambda x: np.sin(x))
-    scen = Scenario(FunctionId.CUSTOM, custom_id="bump", sigma=0.1)
+def test_custom_function_scenario():
+    # any vectorized f makes a scenario; built-in ones survive pickling
+    scen = Scenario(np.sin, sigma=0.1)
     assert true_f(scen, 0.0) == 0.0
-    missing = Scenario(FunctionId.CUSTOM, custom_id="not-there", sigma=0.1)
-    with pytest.raises(UnknownFunction):
-        true_f(missing, 0.3)
+    assert true_f(scen, np.array([0.0, np.pi / 2])) == pytest.approx([0.0, 1.0])
+    for name in ("case1", "case3", "mean(1.5)"):
+        scen = resolve_scenario(name)
+        x = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(true_f(pickle.loads(pickle.dumps(scen)), x), true_f(scen, x))
     with pytest.raises(UnknownFunction):
         resolve_scenario("case9")
+    with pytest.raises(UnknownFunction):
+        resolve_scenario("mean(x)")
 
 
 @pytest.mark.parametrize("n,seed", [(10, 0), (257, 1), (1000, 2)])
