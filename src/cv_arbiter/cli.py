@@ -104,19 +104,12 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_file(args.config)
             if args.threads is not None:
                 config.threads = args.threads
-            if args.out:
-                config.output = args.out
-            table = run_experiment(config)  # writes config.output itself
-            if config.output:
-                print(f"wrote {config.output}.csv and {config.output}.json", file=sys.stderr)
-            else:
-                sys.stdout.write(table.to_csv())
-            return 3 if table.has_errors else 0
+            return _finish_table(run_experiment(config), args.out or config.output)
 
         if args.command == "reproduce":
             table = reproduce_case(
                 args.case, scale=args.scale, master_seed=args.seed,
-                threads=args.threads if args.threads else "auto",
+                threads="auto" if args.threads is None else args.threads,
                 reps=args.reps,
                 schemes=args.schemes.split(",") if args.schemes else None,
                 ratios=args.ratios.split(",") if args.ratios else None,

@@ -12,7 +12,7 @@ sequentially, so results are deterministic given the stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,21 +215,7 @@ class DiagnosticsReport:
     loss_ratio_alpha: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "procedures": self.procedures,
-            "norms": self.norms,
-            "rate_slopes": self.rate_slopes,
-            "sup_scales": self.sup_scales,
-            "ratio_scales": self.ratio_scales,
-            "better_prob": self.better_prob,
-            "better_threshold": self.better_threshold,
-            "loss_ratio_prob": self.loss_ratio_prob,
-            "loss_ratio_alpha": self.loss_ratio_alpha,
-        }
+        return asdict(self)
 
 
 @single_threaded()

@@ -588,7 +588,7 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
     )
 
 
-# --- the procedure table --------------------------------------------------------
+# --- the procedure table ------------------------------------------------------
 
 
 def _degree(text: str) -> int:

@@ -16,7 +16,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "cases": list(self.cases),
-            "procedures": list(self.procedures),
-            "schemes": list(self.schemes),
-            "schedules": list(self.schedules),
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "threads": self.threads,
-            "output": self.output,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -311,8 +301,6 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
 
     table = FrequencyTable(procedures=[p.id for p in procs], master_seed=config.master_seed)
     table.rows = cells
-    if config.output:
-        table.write(config.output)
     return table
 
 

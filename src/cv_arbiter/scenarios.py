@@ -86,7 +86,7 @@ def residuals(scenario: Scenario, sample: Sample) -> np.ndarray:
     return sample.y - true_f(scenario, sample.x)
 
 
-# --- scenario registry -------------------------------------------------------
+# --- the scenario table ------------------------------------------------------
 
 
 def _case1(x):

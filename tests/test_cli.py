@@ -121,6 +121,21 @@ def test_simulate_rejects_mistyped_config(tmp_path, capsys, overrides, message):
     assert message in capsys.readouterr().err
 
 
+def test_simulate_writes_the_config_output_unless_out_is_given(tmp_path, capsys):
+    prefix = tmp_path / "from-config"
+    cfg = _simulate_config(tmp_path, output=str(prefix))
+    assert main(["simulate", "--config", cfg]) == 0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"wrote {prefix}.csv and {prefix}.json\n"
+    assert open(f"{prefix}.csv").read().startswith("case,n,n1,n2")
+    for suffix in (".csv", ".json"):
+        (tmp_path / f"from-config{suffix}").unlink()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag.csv").exists() and (tmp_path / "flag.json").exists()
+    assert not (tmp_path / "from-config.csv").exists()
+
+
 def test_simulate_keeps_valid_cells_when_kfold_exceeds_n(tmp_path):
     cfg = _simulate_config(tmp_path, schemes=["kfold-a:150"], n_grid=[100, 200], reps=1)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "kf")])
@@ -187,6 +202,17 @@ def test_reproduce_subcommand_writes_table(tmp_path):
     assert rc == 0
     csv_text = open(str(tmp_path / "case3.csv")).read()
     assert "ratio:9:1" in csv_text and "ratio:3:7" not in csv_text
+
+
+def test_reproduce_rejects_zero_threads(capsys):
+    rc = main([
+        "reproduce", "--case", "1", "--threads", "0", "--schemes", "single",
+        "--ratios", "ratio:5:5", "--reps", "1", "--n-grid", "40",
+    ])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "threads must be a positive integer" in out.err
 
 
 def test_console_script_installed():
