@@ -10,7 +10,7 @@ of one split.  Ties always break toward the lowest procedure index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class SelectionOutcome:
     per_split_criteria: np.ndarray
     votes: np.ndarray
     averaged: np.ndarray
-    disqualified: dict[int, str] = field(default_factory=dict)
+    disqualified: dict[int, str]
 
 
 def _criteria_matrix(
