@@ -12,13 +12,20 @@ import json
 
 from cv_arbiter import rng
 from cv_arbiter.diagnostics import diagnostics_report
+from cv_arbiter.estimators import ProcedureSpec
 from cv_arbiter.harness import ExperimentConfig, run_experiment, select_from_csv
 from cv_arbiter.scenarios import gen_sample, resolve_scenario
+from cv_arbiter.selection import run_selection
+from cv_arbiter.splits import SelectionScheme, SplitSchedule, estimation_size
 
 GRID_CSV = "457d706055acd3575d729a99a46f23e90ac0b454887eba8c262a4f39c94d1a23"
 GRID_JSON = "966f3ec653e3d3c6afabb256bae06d6b5c67c17e9ed8417a677c52305da88ee4"
 SELECT_REPORT = "04d6157b937fea84d875dffd32d0a545e4cfdc439fe27f51081e1b2c6ac300e9"
 DIAGNOSE_REPORT = "9e90a43f7d6fc1a5a1f7d81c3eff1b7817f54e79887f71e409a4b7b0790675cf"
+SELECTION_PLANS = "1d249a5ea35c495311713ea16a54afed8b88b51d8d7f9a8b024ae7590f98f524"
+
+SCHEMES = ["single", "rlt:5", "rsv:5", "kfold-a:3", "kfold-v:3", "exhaustive-a", "exhaustive-v"]
+SCHEDULES = ["ratio:3:2", "est-dom", "eval-dom", "n1:4"]
 
 
 def _sha(data: str | bytes) -> str:
@@ -69,3 +76,22 @@ def test_golden_diagnostics_report():
         norm_draws=2000,
     )
     assert _sha(_json(report.to_dict())) == DIAGNOSE_REPORT
+
+
+def test_golden_selection_every_scheme_and_schedule():
+    # every scheme kind x every schedule kind through run_selection: the
+    # criteria matrix, votes, winner and estimation size of each pair
+    sample = gen_sample(resolve_scenario("case2"), 10, rng.stream("golden-plans"))
+    procs = [ProcedureSpec.parse(p) for p in ("mean", "poly:1", "poly:2")]
+    digest = hashlib.sha256()
+    for scheme_id in SCHEMES:
+        for schedule_id in SCHEDULES:
+            scheme, schedule = SelectionScheme.parse(scheme_id), SplitSchedule.parse(schedule_id)
+            outcome = run_selection(
+                procs, sample, schedule, scheme, rng.stream("golden-plans", scheme_id, schedule_id)
+            )
+            digest.update(outcome.per_split_criteria.tobytes())
+            digest.update(outcome.votes.astype("<i8").tobytes())
+            digest.update(f"{scheme_id} {schedule_id} {outcome.selected} "
+                          f"{estimation_size(sample.n, schedule, scheme)};".encode())
+    assert digest.hexdigest() == SELECTION_PLANS
