@@ -53,6 +53,6 @@ from .selection import (
     cv_criterion,
     run_selection,
 )
-from .splits import SelectionScheme, SplitPlan, SplitSchedule, make_splits
+from .splits import SelectionScheme, SplitSchedule, make_splits
 
 __version__ = "0.1.0"

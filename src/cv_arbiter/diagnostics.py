@@ -21,7 +21,7 @@ from .blas import single_threaded
 from .errors import DegenerateRisk
 from .estimators import FittedModel, ProcedureSpec, fit_procedure
 from .scenarios import Sample, Scenario, gen_sample, true_f
-from .splits import SplitSchedule
+from .splits import SelectionScheme, SplitSchedule, make_splits
 
 SUP_GRID = np.linspace(0.0, 1.0, 10_001)
 
@@ -181,16 +181,15 @@ def loss_ratio_prob(
         raise ValueError("need reps >= 50")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    n1 = schedule.resolve(n)
     hits = 0
     for _ in range(reps):
         sample = gen_sample(scenario, n, stream)
-        perm = stream.permutation(n)
-        est, ev = np.sort(perm[:n1]), np.sort(perm[n1:])
+        [est] = make_splits(n, schedule, SelectionScheme("single"), stream)
         sub = Sample(x=sample.x[est], y=sample.y[est])
-        fx = true_f(scenario, sample.x[ev])
-        ra = float(np.sum((fx - fit_procedure(proc_a, sub).predict(sample.x[ev])) ** 2))
-        rb = float(np.sum((fx - fit_procedure(proc_b, sub).predict(sample.x[ev])) ** 2))
+        ev_x = sample.x[~est]
+        fx = true_f(scenario, ev_x)
+        ra = float(np.sum((fx - fit_procedure(proc_a, sub).predict(ev_x)) ** 2))
+        rb = float(np.sum((fx - fit_procedure(proc_b, sub).predict(ev_x)) ** 2))
         if rb >= (1.0 + alpha) * ra:
             hits += 1
     return hits / reps

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.threads != "auto" and (not _is_int(self.threads) or self.threads < 1):
             raise ConfigError("threads must be a positive integer or 'auto'")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError("output must be a path prefix string or null")
 
 
 def _is_int(value) -> bool:
@@ -169,48 +171,26 @@ class FrequencyTable:
         return buf.getvalue()
 
     def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "procedures": list(self.procedures),
-            "rows": [
-                {
-                    "case": r.case,
-                    "n": r.n,
-                    "n1": r.n1,
-                    "n2": r.n2,
-                    "schedule": r.schedule,
-                    "scheme": r.scheme,
-                    "reps": r.reps,
-                    "winners": list(r.winners),
-                    "frequencies": {
-                        k: (None if not np.isfinite(v) else v)
-                        for k, v in r.frequencies(self.procedures).items()
-                    },
-                    "disqualified": dict(r.disqualified),
-                    "excluded": r.excluded,
-                    "note": r.note,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-        }
+        """Every field, plus each row's frequencies (None without a winner)."""
+        d = asdict(self)
+        for row, cell in zip(d["rows"], self.rows):
+            row["frequencies"] = {
+                k: (None if not np.isfinite(v) else v)
+                for k, v in cell.frequencies(self.procedures).items()
+            }
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyTable":
-        table = cls(procedures=list(d["procedures"]), master_seed=d["master_seed"])
-        for r in d["rows"]:
-            table.rows.append(
-                CellResult(
-                    case=r["case"], n=r["n"], n1=r["n1"], n2=r["n2"],
-                    schedule=r["schedule"], scheme=r["scheme"], reps=r["reps"],
-                    winners=list(r.get("winners", [])),
-                    disqualified=dict(r.get("disqualified", {})),
-                    excluded=r.get("excluded", False),
-                    note=r.get("note", ""),
-                    error=r.get("error"),
-                )
-            )
-        return table
+        """Invert ``to_dict``; raise ConfigError on a malformed payload."""
+        try:
+            rows = [
+                CellResult(**{k: v for k, v in r.items() if k != "frequencies"})
+                for r in d["rows"]
+            ]
+            return cls(**(d | {"rows": rows}))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad table fields: {exc}") from None
 
     def write(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.csv and <prefix>.json; returns the two paths."""
@@ -282,12 +262,8 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
                     cell.winners = [-1] * config.reps
 
     workers = usable_cores() if config.threads == "auto" else config.threads
-    with single_threaded():
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_one_replication, tasks, chunksize=8))
-        else:
-            results = [_one_replication(t) for t in tasks]
+    with single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_one_replication, tasks))
 
     # Assemble by (cell, rep) index: output independent of scheduling.
     for cell_idx, rep, winner, dq, err in results:

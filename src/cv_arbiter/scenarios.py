@@ -113,7 +113,9 @@ _SCENARIOS: dict[str, Scenario] = {
 
 
 def register_scenario(name: str, scenario: Scenario) -> None:
-    """Make a scenario addressable by id in configs and CLI flags."""
+    """Make a scenario addressable by id; raise ValueError for a taken id."""
+    if name in _SCENARIOS:
+        raise ValueError(f"scenario id already registered: {name!r}")
     _SCENARIOS[name] = scenario
 
 

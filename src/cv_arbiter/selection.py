@@ -1,8 +1,9 @@
 """The selection engine: the hold-out criterion, per-split evaluation,
 and one selection rule over a split plan.
 
-Within one plan every procedure sees exactly the same splits, and each
-procedure is fitted once per split.  Voting schemes select the
+A plan is a (splits x n) boolean array, True on each split's estimation
+points.  Within one plan every procedure sees exactly the same splits,
+and each procedure is fitted once per split.  Voting schemes select the
 procedure that wins the most splits; every other scheme selects the
 lowest criterion averaged over splits, the single split being a plan
 of one split.  Ties always break toward the lowest procedure index.
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import AllProceduresFailed, CvArbiterError, NonFinitePrediction
 from .estimators import FittedModel, ProcedureSpec, fit_procedure
 from .scenarios import Sample
-from .splits import SelectionScheme, SplitPlan, SplitSchedule, make_splits
+from .splits import SelectionScheme, SplitSchedule, make_splits
 
 
 def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> float:
@@ -59,7 +60,7 @@ class SelectionOutcome:
 
 
 def _criteria_matrix(
-    procedures: list[ProcedureSpec], sample: Sample, plan: SplitPlan
+    procedures: list[ProcedureSpec], sample: Sample, plan: np.ndarray
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Fit every procedure on every split's estimation half and score it.
 
@@ -72,7 +73,7 @@ def _criteria_matrix(
     disqualified: dict[int, str] = {}
     for j, spec in enumerate(procedures):
         try:
-            for i, (est, ev) in enumerate(plan.splits):
+            for i, (est, ev) in enumerate(zip(plan, ~plan)):
                 sub = Sample(x=sample.x[est], y=sample.y[est])
                 model = fit_procedure(spec, sub)
                 crit[i, j] = cv_criterion(model, sample.x[ev], sample.y[ev])
@@ -102,23 +103,25 @@ def averaged_criteria(crit: np.ndarray) -> np.ndarray:
 
 
 def select_on_plan(
-    procedures: list[ProcedureSpec], sample: Sample, plan: SplitPlan, aggregate: str
+    procedures: list[ProcedureSpec], sample: Sample, plan: np.ndarray, vote: bool
 ) -> SelectionOutcome:
     """Score every procedure on every split of the plan and select one.
 
-    ``aggregate`` is a scheme's: ``"vote"`` selects the plurality of the
-    per-split winners, so with two candidates procedure 0 wins when it
-    wins at least half the splits.  Anything else selects the argmin of
-    the mean criterion over splits, unweighted even when k-fold
+    ``plan`` is a (splits x sample.n) boolean array, True on each split's
+    estimation points.  With ``vote`` the plurality of the per-split
+    winners is selected, so with two candidates procedure 0 wins when it
+    wins at least half the splits.  Otherwise the argmin of the mean
+    criterion over splits is selected, unweighted even when k-fold
     evaluation sizes differ by one; the mean of one split is that
     split's criterion exactly.
     """
-    if len(plan) < 1:
-        raise ValueError("plan must contain at least one split")
+    plan = np.asarray(plan)
+    if plan.dtype != bool or plan.ndim != 2 or plan.shape[1] != sample.n or len(plan) < 1:
+        raise ValueError(f"plan must be a nonempty 2-d bool array with {sample.n} columns")
     crit, disqualified = _criteria_matrix(procedures, sample, plan)
     votes = tally_votes(crit)
     averaged = averaged_criteria(crit)
-    selected = np.argmax(votes) if aggregate == "vote" else np.argmin(_masked(averaged))
+    selected = np.argmax(votes) if vote else np.argmin(_masked(averaged))
     return SelectionOutcome(int(selected), crit, votes, averaged, disqualified)
 
 
@@ -131,4 +134,4 @@ def run_selection(
 ) -> SelectionOutcome:
     """Draw the scheme's split plan from the stream and select on it."""
     plan = make_splits(sample.n, schedule, scheme, stream)
-    return select_on_plan(procedures, sample, plan, scheme.aggregate)
+    return select_on_plan(procedures, sample, plan, scheme.vote)

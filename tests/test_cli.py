@@ -113,6 +113,7 @@ def _simulate_config(tmp_path, **overrides):
         ({"n_grid": [100.5]}, "grid sizes must be integers"),
         ({"threads": True}, "threads must be a positive integer"),
         ({"cases": [1]}, "cases must be a list of id strings"),
+        ({"output": 5}, "output must be a path prefix string"),
     ],
 )
 def test_simulate_rejects_mistyped_config(tmp_path, capsys, overrides, message):
@@ -191,6 +192,16 @@ def test_plot_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "plots" / "case2_ratio-5-5.svg").exists()
     assert (tmp_path / "plots" / "case2_ratio-5-5.txt").exists()
+
+
+@pytest.mark.parametrize("payload", ["{}", "[1]", '{"procedures": [], "master_seed": 1, "rows": [{}]}'])
+def test_plot_rejects_malformed_table(tmp_path, capsys, payload):
+    table = tmp_path / "table.json"
+    table.write_text(payload)
+    rc = main(["plot", "--in", str(table), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    assert "bad table fields" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
 
 
 def test_reproduce_subcommand_writes_table(tmp_path):

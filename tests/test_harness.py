@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cv_arbiter.errors import ConfigError, ParseError, SampleTooSmall
+from cv_arbiter.errors import ConfigError, ParseError, SampleTooSmall, UnknownFunction
 from cv_arbiter.harness import (
     CellResult,
     ExperimentConfig,
@@ -15,6 +15,7 @@ from cv_arbiter.harness import (
     select_from_csv,
     study_exclusion,
 )
+from cv_arbiter import scenarios
 from cv_arbiter.scenarios import register_scenario, resolve_scenario
 
 
@@ -55,10 +56,18 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         _small_config(threads=0).validate()
     with pytest.raises(ConfigError):
+        _small_config(output=5).validate()
+    with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"cases": []})
 
 
-def test_zero_noise_tiebreak_gives_first_perfect_fit():
+@pytest.fixture
+def scenario_table(monkeypatch):
+    """A private copy of the scenario table, so registrations do not leak."""
+    monkeypatch.setattr(scenarios, "_SCENARIOS", dict(scenarios._SCENARIOS))
+
+
+def test_zero_noise_tiebreak_gives_first_perfect_fit(scenario_table):
     # poly:1 and poly:2 both fit noiseless linear data exactly; the tie
     # rule hands every replication to the first index
     register_scenario("case1-noiseless", replace(resolve_scenario("case1"), sigma=0.0))
@@ -211,6 +220,44 @@ def test_table_json_round_trip(tmp_path):
     assert loaded.to_csv() == table.to_csv()
     with open(csv_path) as fh:
         assert fh.read() == table.to_csv()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [1],
+        "table",
+        {"procedures": ["poly:1"], "master_seed": 1},  # no rows
+        {"procedures": ["poly:1"], "master_seed": 1, "rows": [], "extra": 0},
+        {"procedures": ["poly:1"], "master_seed": 1, "rows": [1]},
+        {"procedures": ["poly:1"], "master_seed": 1, "rows": [{"case": "case1"}]},
+        {"procedures": ["poly:1"], "master_seed": 1, "rows": [{
+            "case": "case1", "n": 4, "n1": 2, "n2": 2, "schedule": "ratio:5:5",
+            "scheme": "single", "reps": 0, "colour": "red",
+        }]},
+    ],
+)
+def test_table_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ConfigError, match="bad table fields"):
+        FrequencyTable.from_dict(payload)
+
+
+def test_register_scenario_rejects_registered_ids(scenario_table):
+    with pytest.raises(ValueError, match="already registered"):
+        register_scenario("case1", replace(resolve_scenario("case1"), sigma=0.0))
+    assert resolve_scenario("case1").sigma == 0.3
+    register_scenario("case1-quiet", replace(resolve_scenario("case1"), sigma=0.1))
+    with pytest.raises(ValueError, match="already registered"):
+        register_scenario("case1-quiet", resolve_scenario("case2"))
+    assert resolve_scenario("case1-quiet").sigma == 0.1
+
+
+def test_registered_scenarios_do_not_leak_between_tests():
+    # the registrations above went into a private copy of the table
+    for name in ("case1-noiseless", "case1-quiet"):
+        with pytest.raises(UnknownFunction):
+            resolve_scenario(name)
 
 
 # --- select on user data ------------------------------------------------------------

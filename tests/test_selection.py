@@ -15,7 +15,7 @@ from cv_arbiter.selection import (
     select_on_plan,
     tally_votes,
 )
-from cv_arbiter.splits import SelectionScheme, SplitPlan, SplitSchedule, make_splits
+from cv_arbiter.splits import SelectionScheme, SplitSchedule, make_splits
 
 SINGLE = SelectionScheme.parse("single")
 
@@ -132,7 +132,7 @@ def test_averaging_of_one_split_equals_single():
     sched = SplitSchedule.parse("ratio:5:5")
     single = run_selection(procs, s, sched, SINGLE, rng.stream("avg1-split"))
     plan = make_splits(s.n, sched, SINGLE, rng.stream("avg1-split"))
-    averaged = select_on_plan(procs, s, plan, "average")
+    averaged = select_on_plan(procs, s, plan, vote=False)
     assert averaged.selected == single.selected
     assert averaged.per_split_criteria == pytest.approx(single.per_split_criteria)
 
@@ -141,7 +141,7 @@ def test_averaged_column_means_match_matrix():
     s = gen_sample(resolve_scenario("case2"), 40, rng.stream("avgcol"))
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     plan = make_splits(s.n, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("rlt:7"), rng.stream("avgcol-s"))
-    out = select_on_plan(procs, s, plan, "average")
+    out = select_on_plan(procs, s, plan, vote=False)
     assert out.averaged == pytest.approx(out.per_split_criteria.mean(axis=0), abs=1e-12)
     assert int(np.sum(out.votes)) == 7
 
@@ -169,7 +169,7 @@ def test_voting_unanimity():
     s = gen_sample(scen, 200, rng.stream("unanimous"))
     procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("poly:1")]
     plan = make_splits(s.n, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("rsv:12"), rng.stream("u-s"))
-    out = select_on_plan(procs, s, plan, "vote")
+    out = select_on_plan(procs, s, plan, vote=True)
     # the line always beats predicting zero on this scenario
     assert out.votes.tolist() == [0, 12]
     assert out.selected == 1
@@ -180,14 +180,14 @@ def test_run_selection_dispatch_matches_components():
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     sched = SplitSchedule.parse("ratio:5:5")
     plan = make_splits(s.n, sched, SINGLE, rng.stream("d", 1))
-    direct = select_on_plan(procs, s, plan, "single")
+    direct = select_on_plan(procs, s, plan, SINGLE.vote)
     via_run = run_selection(procs, s, sched, SINGLE, rng.stream("d", 1))
     assert direct.selected == via_run.selected
     assert direct.per_split_criteria == pytest.approx(via_run.per_split_criteria)
 
     scheme = SelectionScheme.parse("rsv:9")
     plan = make_splits(s.n, sched, scheme, rng.stream("d", 2))
-    direct_v = select_on_plan(procs, s, plan, "vote")
+    direct_v = select_on_plan(procs, s, plan, scheme.vote)
     via_run_v = run_selection(procs, s, sched, scheme, rng.stream("d", 2))
     assert direct_v.selected == via_run_v.selected
     assert direct_v.votes.tolist() == via_run_v.votes.tolist()
@@ -209,20 +209,17 @@ def test_label_permutation_equivariance():
 
 def test_outcome_invariant_to_plan_presentation_order():
     # averaging and voting depend only on the index sets, not on the
-    # order of splits in the plan nor the order inside each set
+    # order of splits in the plan nor the order of the sample's rows
     s = gen_sample(resolve_scenario("case1"), 50, rng.stream("planorder"))
     procs = [ProcedureSpec.parse(p) for p in ("poly:1", "poly:2")]
     sched = SplitSchedule.parse("ratio:5:5")
     plan = make_splits(s.n, sched, SelectionScheme.parse("rsv:8"), rng.stream("po", 1))
     g = np.random.default_rng(0)
-    shuffled_splits = [plan.splits[i] for i in g.permutation(len(plan))]
-    shuffled_splits = tuple(
-        (np.asarray(est)[g.permutation(len(est))], ev) for est, ev in shuffled_splits
-    )
-    shuffled = SplitPlan(shuffled_splits, plan.scheme_id, plan.n, plan.n1)
-    for aggregate in ("average", "vote"):
-        a = select_on_plan(procs, s, plan, aggregate)
-        b = select_on_plan(procs, s, shuffled, aggregate)
+    rows, cols = g.permutation(len(plan)), g.permutation(s.n)
+    shuffled = Sample(x=s.x[cols], y=s.y[cols])
+    for vote in (False, True):
+        a = select_on_plan(procs, s, plan, vote)
+        b = select_on_plan(procs, shuffled, plan[rows][:, cols], vote)
         assert a.selected == b.selected
         assert np.sort(a.averaged) == pytest.approx(np.sort(b.averaged))
 
@@ -260,3 +257,19 @@ def test_all_procedures_failed():
             [ProcedureSpec.parse("spline")], s,
             SplitSchedule.parse("n1:5"), SelectionScheme.parse("single"), rng.stream("af-s"),
         )
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        np.ones((2, 20), dtype=np.int64),  # would fancy-index rows 0 and 1
+        np.ones((2, 19), dtype=bool),  # wrong column count
+        np.ones(20, dtype=bool),  # one split must still be a 2-d row
+        np.zeros((0, 20), dtype=bool),  # no split
+    ],
+)
+def test_select_on_plan_rejects_malformed_plans(plan):
+    s = gen_sample(resolve_scenario("case1"), 20, rng.stream("bad-plan"))
+    procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("mean")]
+    with pytest.raises(ValueError, match="2-d bool array with 20 columns"):
+        select_on_plan(procs, s, plan, vote=False)

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv_arbiter import rng
 from cv_arbiter.errors import ExhaustiveTooLarge
-from cv_arbiter.splits import SelectionScheme, SplitSchedule, estimation_size, make_splits
+from cv_arbiter.splits import (
+    SCHEDULES,
+    SCHEMES,
+    SelectionScheme,
+    SplitSchedule,
+    estimation_size,
+    make_splits,
+)
 
 SINGLE = SelectionScheme.parse("single")
 
@@ -49,33 +58,50 @@ def test_explicit_schedule_and_errors():
         SplitSchedule.parse("ratio:5:5").resolve(1)
 
 
+def test_schedule_ids_round_trip():
+    for text, expected in [
+        ("ratio:9:1", "ratio:9:1"),
+        ("ratio:18:2", "ratio:9:1"),  # the ratio prints reduced
+        ("ratio:2:6", "ratio:1:3"),
+        (" ratio:5:5 ", "ratio:1:1"),
+        ("est-dom", "est-dom"),
+        ("eval-dom", "eval-dom"),
+        ("n1:17", "n1:17"),
+    ]:
+        assert SplitSchedule.parse(text).id == expected
+        assert SplitSchedule.parse(expected).id == expected
+    for bad in ["ratio", "ratio:", "ratio:9", "ratio:9:1:1", "ratio:a:b", "est-dom:3", "n1", "n1:x"]:
+        with pytest.raises(ValueError):
+            SplitSchedule.parse(bad)
+
+
 def test_scheme_parse_ids():
-    for text, kind, agg in [
-        ("single", "single", "single"),
-        ("rlt:100", "random", "average"),
-        ("rsv:25", "random", "vote"),
-        ("kfold-a:5", "kfold", "average"),
-        ("kfold-v:10", "kfold", "vote"),
-        ("exhaustive-a", "exhaustive", "average"),
-        ("exhaustive-v", "exhaustive", "vote"),
+    for text, name, count, vote in [
+        ("single", "single", None, False),
+        ("rlt:100", "rlt", 100, False),
+        ("rsv:25", "rsv", 25, True),
+        ("kfold-a:5", "kfold-a", 5, False),
+        ("kfold-v:10", "kfold-v", 10, True),
+        ("exhaustive-a", "exhaustive-a", None, False),
+        ("exhaustive-v", "exhaustive-v", None, True),
     ]:
         scheme = SelectionScheme.parse(text)
-        assert (scheme.split_kind, scheme.aggregate) == (kind, agg)
+        assert (scheme.name, scheme.count, scheme.vote) == (name, count, vote)
         assert scheme.id == text
-    with pytest.raises(ValueError):
-        SelectionScheme.parse("rlt:0")
-    with pytest.raises(ValueError):
-        SelectionScheme.parse("loo")
+    for bad in ["rlt:0", "loo", "kfold-a:1", "single:1", "rsv", "rlt:", "exhaustive", "exhaustive-a:3"]:
+        with pytest.raises(ValueError):
+            SelectionScheme.parse(bad)
 
 
 def test_exhaustive_enumerates_all_subsets():
     plan = make_splits(4, SplitSchedule.parse("n1:2"), SelectionScheme.parse("exhaustive-a"), rng.stream(0))
-    assert len(plan) == 6
-    seen = {tuple(est) for est, _ in plan.splits}
-    assert len(seen) == 6
-    for est, ev in plan.splits:
-        assert sorted(set(est) | set(ev)) == [0, 1, 2, 3]
-        assert len(est) == 2 and len(ev) == 2
+    assert plan.shape == (6, 4) and plan.dtype == bool
+    assert len({row.tobytes() for row in plan}) == 6
+    assert plan.sum(axis=1).tolist() == [2] * 6
+    # lexicographic order of the estimation sets
+    assert [np.flatnonzero(row).tolist() for row in plan] == [
+        [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]
+    ]
 
 
 def test_exhaustive_cap():
@@ -85,14 +111,11 @@ def test_exhaustive_cap():
 
 def test_kfold_fold_sizes_and_cover():
     plan = make_splits(10, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("kfold-a:4"), rng.stream(3))
-    assert len(plan) == 4
-    eval_sizes = sorted(len(ev) for _, ev in plan.splits)
-    assert eval_sizes == [2, 2, 3, 3]
-    all_eval = np.concatenate([ev for _, ev in plan.splits])
-    assert sorted(all_eval.tolist()) == list(range(10))
-    for est, ev in plan.splits:
-        assert sorted(np.concatenate([est, ev]).tolist()) == list(range(10))
-    assert plan.n1 == 7
+    assert plan.shape == (4, 10)
+    assert sorted((~plan).sum(axis=1).tolist()) == [2, 2, 3, 3]
+    # the evaluation folds partition range(10)
+    assert (~plan).sum(axis=0).tolist() == [1] * 10
+    assert estimation_size(10, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("kfold-a:4")) == 7
     with pytest.raises(ValueError):
         make_splits(3, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("kfold-a:5"), rng.stream(0))
 
@@ -105,9 +128,9 @@ def test_kfold_fold_sizes_and_cover():
 def test_estimation_size_matches_plans(n, scheme, schedule):
     sched, sch = SplitSchedule.parse(schedule), SelectionScheme.parse(scheme)
     plan = make_splits(n, sched, sch, rng.stream("n1", n))
-    assert estimation_size(n, sched, sch) == plan.n1
-    assert min(len(est) for est, _ in plan.splits) == plan.n1
-    assert max(len(ev) for _, ev in plan.splits) == n - plan.n1
+    n1 = estimation_size(n, sched, sch)
+    assert plan.sum(axis=1).min() == n1
+    assert (~plan).sum(axis=1).max() == n - n1
 
 
 def test_random_splits_deterministic_given_stream():
@@ -115,24 +138,76 @@ def test_random_splits_deterministic_given_stream():
     scheme = SelectionScheme.parse("rlt:100")
     a = make_splits(30, sched, scheme, rng.stream("splits", 1))
     b = make_splits(30, sched, scheme, rng.stream("splits", 1))
-    assert len(a) == len(b) == 100
-    for (ea, va), (eb, vb) in zip(a.splits, b.splits):
-        assert np.array_equal(ea, eb) and np.array_equal(va, vb)
+    assert a.shape == b.shape == (100, 30)
+    assert np.array_equal(a, b)
     c = make_splits(30, sched, scheme, rng.stream("splits", 2))
-    assert any(not np.array_equal(ea, ec) for (ea, _), (ec, _) in zip(a.splits, c.splits))
+    assert not np.array_equal(a, c)
 
 
 def test_single_split_partitions():
     plan = make_splits(25, SplitSchedule.parse("ratio:9:1"), SINGLE, rng.stream(5))
-    assert len(plan) == 1
-    est, ev = plan.splits[0]
-    assert len(est) == 22 and len(ev) == 3  # floor(25 * 0.9)
-    assert sorted(np.concatenate([est, ev]).tolist()) == list(range(25))
-    assert plan.n1 == 22
+    assert plan.shape == (1, 25)
+    assert plan.sum() == 22  # floor(25 * 0.9)
+    assert estimation_size(25, SplitSchedule.parse("ratio:9:1"), SINGLE) == 22
+
+
+def test_single_split_is_one_random_split():
+    sched = SplitSchedule.parse("ratio:3:7")
+    single = make_splits(40, sched, SINGLE, rng.stream("one", 4))
+    rlt1 = make_splits(40, sched, SelectionScheme.parse("rlt:1"), rng.stream("one", 4))
+    assert np.array_equal(single, rlt1)
+    # the estimation half is the head of one permutation of range(n)
+    perm = rng.stream("one", 4).permutation(40)
+    assert np.flatnonzero(single[0]).tolist() == sorted(perm[:12].tolist())
 
 
 def test_estimation_sets_are_sorted():
+    # boolean indexing reads each half in the sample's index order
     plan = make_splits(40, SplitSchedule.parse("ratio:5:5"), SelectionScheme.parse("rsv:10"), rng.stream(8))
-    for est, ev in plan.splits:
-        assert np.all(np.diff(est) > 0)
-        assert np.all(np.diff(ev) > 0)
+    index = np.arange(40)
+    for row in plan:
+        assert np.all(np.diff(index[row]) > 0)
+        assert np.all(np.diff(index[~row]) > 0)
+
+
+# --- plan invariants (property) -------------------------------------------------
+
+
+@st.composite
+def _plan_inputs(draw):
+    scheme_name = draw(st.sampled_from(sorted(SCHEMES)))
+    schedule_name = draw(st.sampled_from(sorted(SCHEDULES)))
+    n = draw(st.integers(2, 12 if scheme_name.startswith("exhaustive") else 60))
+    scheme = {
+        "rlt": f"rlt:{draw(st.integers(1, 6))}",
+        "rsv": f"rsv:{draw(st.integers(1, 6))}",
+        "kfold-a": f"kfold-a:{draw(st.integers(2, n))}",
+        "kfold-v": f"kfold-v:{draw(st.integers(2, n))}",
+    }.get(scheme_name, scheme_name)
+    schedule = {
+        "ratio": f"ratio:{draw(st.integers(1, 9))}:{draw(st.integers(1, 9))}",
+        "n1": f"n1:{draw(st.integers(1, 2 * n))}",
+    }.get(schedule_name, schedule_name)
+    return n, SelectionScheme.parse(scheme), SplitSchedule.parse(schedule), draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_plan_inputs())
+def test_plan_invariants(inputs):
+    n, scheme, schedule, seed = inputs
+    n1 = estimation_size(n, schedule, scheme)
+    plan = make_splits(n, schedule, scheme, rng.stream("plan-props", seed))
+    assert plan.dtype == bool and plan.ndim == 2 and plan.shape[1] == n
+    assert 1 <= n1 <= n - 1
+    if scheme.name.startswith("kfold"):
+        assert (~plan).sum(axis=0).tolist() == [1] * n  # held-out folds partition range(n)
+        assert plan.sum(axis=1).min() == n1
+    else:
+        assert plan.sum(axis=1).tolist() == [n1] * len(plan)
+    if scheme.name.startswith("exhaustive"):
+        assert len(plan) == math.comb(n, n1)
+        assert len({row.tobytes() for row in plan}) == len(plan)
+    else:
+        assert len(plan) == (scheme.count or 1)  # single draws one split
+    again = make_splits(n, schedule, scheme, rng.stream("plan-props", seed))
+    assert np.array_equal(plan, again)
