@@ -119,8 +119,8 @@ def better_prob(
     """
     if reps < 50:
         raise ValueError("need reps >= 50")
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    if not c > 0:  # NaN fails too
+        raise ValueError(f"c must be > 0, got {c}")
     hits = 0
     for _ in range(reps):
         sample = gen_sample(scenario, n, stream)
@@ -179,8 +179,8 @@ def loss_ratio_prob(
     """
     if reps < 50:
         raise ValueError("need reps >= 50")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not alpha > 0:  # NaN fails too
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     hits = 0
     for _ in range(reps):
         sample = gen_sample(scenario, n, stream)

@@ -5,15 +5,19 @@ polynomial least squares, the trivial zero/constant-mean fits, a
 penalized cubic B-spline smoother tuned by generalized cross validation,
 and a local linear kernel smoother.
 
-All fitting functions canonicalize the sample by sorting on (x, y)
-first, so fits are exactly invariant to the ordering of sample rows,
-and every returned prediction function is total on [0, 1].
+The polynomial, spline and local linear fits canonicalize the sample by
+sorting on (x, y) first, so they are exactly invariant to the ordering
+of sample rows; the mean fit averages in row order.  Each of those three
+fits is a sorted-input kernel, which the selection engine calls on the
+estimation halves of a sample it has sorted once.  Every returned
+prediction function is total on [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -68,7 +72,14 @@ class LambdaGrid:
         top = self.top_stiffness / s_min_nonzero
         if self.points == 1:
             return np.array([top])
-        return top * np.geomspace(10.0 ** (-self.decades), 1.0, self.points)
+        return top * _geomspace_template(self.decades, self.points)
+
+
+@lru_cache(maxsize=None)
+def _geomspace_template(decades: float, points: int) -> np.ndarray:
+    template = np.geomspace(10.0 ** (-decades), 1.0, points)
+    template.flags.writeable = False
+    return template
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,14 @@ class GcvPoint(NamedTuple):
 
 
 def _canonical(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows by (x, y); makes all fits exactly order-invariant."""
+    """Sort rows by (x, y); makes the sorted-input fits exactly order-invariant."""
     order = np.lexsort((sample.y, sample.x))
     return sample.x[order], sample.y[order]
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted, nonempty x (``np.unique`` without the sort)."""
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
@@ -132,6 +148,23 @@ def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
 # --- polynomial and mean fits -------------------------------------------------
 
 
+def _poly_coefs(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """Least-squares coefficients on (x, y)-sorted rows, lowest order first."""
+    distinct = len(_distinct(x))
+    if distinct < degree + 1:
+        raise RankDeficient(
+            f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
+        )
+    basis = np.vander(x, degree + 1, increasing=True)
+    coefs, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return coefs
+
+
+def _poly_predictor(x: np.ndarray, y: np.ndarray, degree: int):
+    coefs = _poly_coefs(x, y, degree)
+    return lambda xv: np.polynomial.polynomial.polyval(xv, coefs)
+
+
 def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
     """Least-squares polynomial of the given degree.
 
@@ -142,19 +175,9 @@ def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
     distinct x values.
     """
     x, y = _canonical(sample)
-    if len(np.unique(x)) < degree + 1:
-        raise RankDeficient(
-            f"degree {degree} needs {degree + 1} distinct x values, "
-            f"got {len(np.unique(x))}"
-        )
-    basis = np.vander(x, degree + 1, increasing=True)
-    coefs, *_ = np.linalg.lstsq(basis, y, rcond=None)
-
-    def raw(xv):
-        return np.polynomial.polynomial.polyval(xv, coefs)
-
+    coefs = _poly_coefs(x, y, degree)
     return FittedModel(
-        predict=_vectorized(raw),
+        predict=_vectorized(lambda xv: np.polynomial.polynomial.polyval(xv, coefs)),
         dof=float(degree + 1),
         train_n=sample.n,
         coefficients=coefs,
@@ -162,9 +185,17 @@ def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
     )
 
 
+def _mean_value(y: np.ndarray, with_mean: bool) -> float:
+    return float(np.mean(y)) if with_mean else 0.0
+
+
 def fit_mean_model(sample: Sample, with_mean: bool) -> FittedModel:
-    """The two nested trivial fits: predict 0, or predict the sample mean."""
-    value = float(np.mean(sample.y)) if with_mean else 0.0
+    """The two nested trivial fits: predict 0, or predict the sample mean.
+
+    The mean is summed in the sample's row order, so permuting the rows
+    can move it by a rounding error.
+    """
+    value = _mean_value(sample.y, with_mean)
     return FittedModel(
         predict=_vectorized(lambda xv: np.full_like(xv, value)),
         dof=1.0 if with_mean else 0.0,
@@ -178,7 +209,7 @@ def fit_mean_model(sample: Sample, with_mean: bool) -> FittedModel:
 
 
 def _spline_design(x: np.ndarray):
-    """Knots, sparse design and penalty for the penalized spline.
+    """Knots, sparse design and penalty for the penalized spline on sorted x.
 
     Cubic B-spline basis on interior knots at quantiles of the distinct
     x values, capped at MAX_INTERIOR_SITES knot sites; the penalty D
@@ -186,7 +217,7 @@ def _spline_design(x: np.ndarray):
     basis' Greville abscissae, so its null space is exactly the linear
     functions of x.
     """
-    xd = np.unique(x)
+    xd = _distinct(x)
     n_sites = min(len(xd) - 2, MAX_INTERIOR_SITES)
     m = n_sites - 2
     a, b = xd[0], xd[-1]
@@ -265,13 +296,11 @@ def _spline_profile(x, y, grid: LambdaGrid):
     return t, lams, gcv, dof, coefs_at
 
 
-def _check_spline_sample(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    if sample.n < 10:
-        raise SampleTooSmall(f"spline needs >= 10 points, got {sample.n}")
-    x, y = _canonical(sample)
-    if len(np.unique(x)) < 4:
+def _check_spline_input(x: np.ndarray) -> None:
+    if len(x) < 10:
+        raise SampleTooSmall(f"spline needs >= 10 points, got {len(x)}")
+    if len(_distinct(x)) < 4:
         raise RankDeficient("spline needs >= 4 distinct x values")
-    return x, y
 
 
 def gcv_profile(sample: Sample, grid: LambdaGrid | None = None) -> list[GcvPoint]:
@@ -281,9 +310,43 @@ def gcv_profile(sample: Sample, grid: LambdaGrid | None = None) -> list[GcvPoint
     ``gcv`` of +inf (the denominator is degenerate there); entries are
     ordered by ascending lambda.
     """
-    x, y = _check_spline_sample(sample)
+    x, y = _canonical(sample)
+    _check_spline_input(x)
     _, lams, gcv, dof, _ = _spline_profile(x, y, grid or LambdaGrid())
     return [GcvPoint(float(l), float(g), float(d)) for l, g, d in zip(lams, gcv, dof)]
+
+
+def _spline_fit(x: np.ndarray, y: np.ndarray, grid: LambdaGrid | None):
+    """GCV-tuned spline on (x, y)-sorted rows: (knots, coefficients, lambda, dof)."""
+    _check_spline_input(x)
+    t, lams, gcv, dof, coefs_at = _spline_profile(x, y, grid or LambdaGrid())
+    if not np.any(np.isfinite(gcv)):
+        raise DegenerateDenominator("smoother trace reaches n at every grid lambda")
+    best = int(np.argmin(gcv))  # first minimum = smallest lambda on ties
+    return t, coefs_at(best), float(lams[best]), float(dof[best])
+
+
+def _spline_curve(t: np.ndarray, c: np.ndarray):
+    """The spline's prediction function, linear beyond the knot range."""
+    spl = BSpline.construct_fast(t, c, 3)  # t and c come valid from _spline_fit
+    a, b = t[3], t[-4]
+
+    def raw(xv):
+        below, above = xv < a, xv > b
+        if not (below.any() or above.any()):
+            return spl(xv)
+        der = spl.derivative()
+        fa, fb = float(spl(a)), float(spl(b))
+        da, db = float(der(a)), float(der(b))
+        out = spl(np.clip(xv, a, b))
+        out = np.where(below, fa + da * (xv - a), out)
+        return np.where(above, fb + db * (xv - b), out)
+
+    return raw
+
+
+def _spline_predictor(x: np.ndarray, y: np.ndarray, grid: LambdaGrid | None):
+    return _spline_curve(*_spline_fit(x, y, grid)[:2])
 
 
 def fit_smoothing_spline(sample: Sample, grid: LambdaGrid | None = None) -> FittedModel:
@@ -293,29 +356,12 @@ def fit_smoothing_spline(sample: Sample, grid: LambdaGrid | None = None) -> Fitt
     extrapolate linearly outside the knot range.  Raises
     DegenerateDenominator if no grid point has a usable GCV value.
     """
-    x, y = _check_spline_sample(sample)
-    t, lams, gcv, dof, coefs_at = _spline_profile(x, y, grid or LambdaGrid())
-    if not np.any(np.isfinite(gcv)):
-        raise DegenerateDenominator("smoother trace reaches n at every grid lambda")
-    best = int(np.argmin(gcv))  # first minimum = smallest lambda on ties
-    c = coefs_at(best)
-    spl = BSpline(t, c, 3)
-    a, b = t[3], t[-4]
-    der = spl.derivative()
-    fa, fb = float(spl(a)), float(spl(b))
-    da, db = float(der(a)), float(der(b))
-
-    def raw(xv):
-        out = spl(np.clip(xv, a, b))
-        out = np.where(xv < a, fa + da * (xv - a), out)
-        out = np.where(xv > b, fb + db * (xv - b), out)
-        return out
-
+    t, c, lam, dof = _spline_fit(*_canonical(sample), grid)
     return FittedModel(
-        predict=_vectorized(raw),
-        dof=float(dof[best]),
+        predict=_vectorized(_spline_curve(t, c)),
+        dof=dof,
         train_n=sample.n,
-        lam=float(lams[best]),
+        lam=lam,
         coefficients=c,
         label="spline",
     )
@@ -538,6 +584,38 @@ def _nearest_mean(xt, yt, q, skip):
     return stats[4]
 
 
+def _loclin_bandwidth(xt: np.ndarray, yt: np.ndarray, bandwidth: float | str) -> float:
+    """The bandwidth h of a local linear fit on (x, y)-sorted rows."""
+    n = len(xt)
+    if n < 5:
+        raise SampleTooSmall(f"local linear needs >= 5 points, got {n}")
+    if bandwidth != "auto":
+        h = float(bandwidth)
+        if h <= 0:
+            raise ValueError("bandwidth must be positive")
+        return h
+    span = xt[-1] - xt[0]
+    if span <= 0:
+        raise BandwidthTooSmall("all x values coincide; no bandwidth works")
+    lo = max(span / (n - 1) * 1.5, span * 1e-3)
+    best_h, best_score = None, np.inf
+    for h in np.geomspace(lo, span, 15):
+        pred, _, valid = _loclin_batch(xt, yt, h, xt, drop_self=True)
+        if not valid:
+            continue
+        score = float(np.sum((yt - pred) ** 2))
+        if score < best_score:  # strict: ties keep the smaller h
+            best_h, best_score = float(h), score
+    if best_h is None:
+        raise BandwidthTooSmall("no bandwidth on the grid supports delete-1 fits")
+    return best_h
+
+
+def _loclin_predictor(xt: np.ndarray, yt: np.ndarray, bandwidth: float | str):
+    h = _loclin_bandwidth(xt, yt, bandwidth)
+    return lambda xv: _loclin_batch(xt, yt, h, xv)[0]
+
+
 def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedModel:
     """Local linear fit with Epanechnikov weights at scale h.
 
@@ -546,43 +624,13 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
     fit supports a non-degenerate line.  Raises BandwidthTooSmall when
     no grid bandwidth is usable.
     """
-    if sample.n < 5:
-        raise SampleTooSmall(f"local linear needs >= 5 points, got {sample.n}")
     xt, yt = _canonical(sample)
-    n = len(xt)
-    span = xt[-1] - xt[0]
-
-    if bandwidth == "auto":
-        if span <= 0:
-            raise BandwidthTooSmall("all x values coincide; no bandwidth works")
-        lo = max(span / (n - 1) * 1.5, span * 1e-3)
-        h_grid = np.geomspace(lo, span, 15)
-        best_h, best_score = None, np.inf
-        for h in h_grid:
-            pred, _, valid = _loclin_batch(xt, yt, h, xt, drop_self=True)
-            if not valid:
-                continue
-            score = float(np.sum((yt - pred) ** 2))
-            if score < best_score:  # strict: ties keep the smaller h
-                best_h, best_score = float(h), score
-        if best_h is None:
-            raise BandwidthTooSmall("no bandwidth on the grid supports delete-1 fits")
-        h = best_h
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ValueError("bandwidth must be positive")
-
+    h = _loclin_bandwidth(xt, yt, bandwidth)
     _, selfw, _ = _loclin_batch(xt, yt, h, xt)
-    dof = float(np.clip(np.sum(selfw), 0.0, n))
-
-    def raw(xv):
-        return _loclin_batch(xt, yt, h, xv)[0]
-
     return FittedModel(
-        predict=_vectorized(raw),
-        dof=dof,
-        train_n=n,
+        predict=_vectorized(lambda xv: _loclin_batch(xt, yt, h, xv)[0]),
+        dof=float(np.clip(np.sum(selfw), 0.0, sample.n)),
+        train_n=sample.n,
         lam=h,
         label=f"loclin:{bandwidth}",
     )
@@ -607,17 +655,56 @@ def _bandwidth(text: str) -> float | str:
     return h
 
 
+def _split_fits(predictor, sorted_input: bool = True):
+    """A ``holdout`` entry that fits ``predictor(x, y, arg)`` on each split.
+
+    With ``sorted_input`` each estimation half is cut from the sample
+    sorted once by (x, y), so it arrives canonical and ``predictor`` is a
+    sorted-input kernel; otherwise the half keeps the sample's row order.
+    Each split's predictions are made at its evaluation points, in row
+    order.
+    """
+
+    def holdout(sample: Sample, plan: np.ndarray, order: np.ndarray, arg) -> Iterator:
+        x, y, fit_plan = sample.x, sample.y, plan
+        if sorted_input:
+            x, y, fit_plan = x[order], y[order], plan[:, order]
+        for est, ev in zip(fit_plan, ~plan):
+            yield predictor(x[est], y[est], arg)(sample.x[ev])
+
+    return holdout
+
+
 class Procedure(NamedTuple):
     parse_arg: Callable[[str], object] | None  # None: the id takes no argument
     fit: Callable[[Sample, object], FittedModel]  # (sample, arg) -> model
+    # (sample, plan, order, arg) -> each split's predictions at its evaluation
+    # points; ``order`` sorts the sample's rows by (x, y)
+    holdout: Callable[[Sample, np.ndarray, np.ndarray, object], Iterator[np.ndarray]]
+
+
+def _trivial(with_mean: bool) -> Procedure:
+    """The zero or mean row.  Its fits keep the sample's row order, the
+    order in which ``fit_mean_model`` sums y."""
+
+    def predictor(x, y, _):
+        value = _mean_value(y, with_mean)
+        return lambda xv: np.full_like(xv, value)
+
+    return Procedure(
+        None,
+        lambda sample, _: fit_mean_model(sample, with_mean),
+        _split_fits(predictor, sorted_input=False),
+    )
 
 
 PROCEDURES: dict[str, Procedure] = {
-    "poly": Procedure(_degree, fit_polynomial),
-    "zero": Procedure(None, lambda sample, _: fit_mean_model(sample, with_mean=False)),
-    "mean": Procedure(None, lambda sample, _: fit_mean_model(sample, with_mean=True)),
-    "spline": Procedure(None, fit_smoothing_spline),  # arg None: the default grid
-    "loclin": Procedure(_bandwidth, fit_local_linear),
+    "poly": Procedure(_degree, fit_polynomial, _split_fits(_poly_predictor)),
+    "zero": _trivial(with_mean=False),
+    "mean": _trivial(with_mean=True),
+    # arg None: the default grid
+    "spline": Procedure(None, fit_smoothing_spline, _split_fits(_spline_predictor)),
+    "loclin": Procedure(_bandwidth, fit_local_linear, _split_fits(_loclin_predictor)),
 }
 
 

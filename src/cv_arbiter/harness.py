@@ -112,6 +112,31 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _cell_checks(n_procs: int) -> list[tuple[str, str, object]]:
+    """(field, expected kind, predicate) for each ``CellResult`` field."""
+    def is_str(v):
+        return isinstance(v, str)
+
+    def is_winners(v):
+        return isinstance(v, list) and all(_is_int(w) and -1 <= w < n_procs for w in v)
+
+    def is_counts(v):
+        return isinstance(v, dict) and all(is_str(k) and _is_int(c) for k, c in v.items())
+
+    return [
+        *((name, "a string", is_str) for name in ("case", "schedule", "scheme", "note")),
+        *((name, "an integer", _is_int) for name in ("n", "n1", "n2", "reps")),
+        ("winners", f"a list of procedure indexes in [-1, {n_procs})", is_winners),
+        ("disqualified", "an object of integer counts", is_counts),
+        ("excluded", "a bool", lambda v: isinstance(v, bool)),
+        ("error", "a string or null", lambda v: v is None or is_str(v)),
+    ]
+
+
 @dataclass
 class CellResult:
     """Tallies for one (case, n, schedule, scheme) grid cell."""
@@ -188,9 +213,19 @@ class FrequencyTable:
                 CellResult(**{k: v for k, v in r.items() if k != "frequencies"})
                 for r in d["rows"]
             ]
-            return cls(**(d | {"rows": rows}))
+            table = cls(**(d | {"rows": rows}))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad table fields: {exc}") from None
+        if not (_is_str_list(table.procedures) and _is_int(table.master_seed)):
+            raise ConfigError("bad table fields: procedures must be a list of strings "
+                              "and master_seed an integer")
+        n_procs = len(table.procedures)
+        checks = _cell_checks(n_procs)
+        for i, row in enumerate(table.rows):
+            for name, kind, ok in checks:
+                if not ok(getattr(row, name)):
+                    raise ConfigError(f"bad table fields: row {i}: {name} must be {kind}")
+        return table
 
     def write(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.csv and <prefix>.json; returns the two paths."""

@@ -159,6 +159,10 @@ def selection_prob(
         raise ValueError("reps must be >= 1")
     if not 1 <= n1 <= n - 1:
         raise ValueError(f"n1 must be in [1, {n - 1}], got {n1}")
+    if not 0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     rows = max(1, CHUNK_DRAWS // n)
     mu_term = n1 * (n - 1) * n * mu * mu
 

@@ -16,9 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllProceduresFailed, CvArbiterError, NonFinitePrediction
-from .estimators import FittedModel, ProcedureSpec, fit_procedure
+from .estimators import PROCEDURES, FittedModel, ProcedureSpec
 from .scenarios import Sample
 from .splits import SelectionScheme, SplitSchedule, make_splits
+
+
+def _holdout_loss(pred: np.ndarray, eval_y: np.ndarray, label: str) -> float:
+    if not np.isfinite(pred).all():
+        raise NonFinitePrediction(f"{label} predicted non-finite values")
+    resid = eval_y - pred
+    if np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(eval_y).max()):
+        return 0.0
+    return float((resid**2).sum())
 
 
 def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> float:
@@ -33,13 +42,7 @@ def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> 
     eval_y = np.asarray(eval_y, dtype=float)
     if len(eval_x) < 1 or len(eval_x) != len(eval_y):
         raise ValueError("evaluation vectors must be nonempty and equal length")
-    pred = model.predict(eval_x)
-    if not np.all(np.isfinite(pred)):
-        raise NonFinitePrediction(f"{model.label or 'model'} predicted non-finite values")
-    resid = eval_y - pred
-    if np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(eval_y))):
-        return 0.0
-    return float(np.sum(resid**2))
+    return _holdout_loss(model.predict(eval_x), eval_y, model.label or "model")
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,22 @@ def _criteria_matrix(
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Fit every procedure on every split's estimation half and score it.
 
-    A procedure that fails on any split is disqualified outright (its
-    column becomes NaN); package errors disqualify, anything else
-    propagates.
+    The sample is sorted by (x, y) once for all procedures and splits
+    (see ``estimators.Procedure.holdout``); each criterion is
+    ``cv_criterion`` of the split's fit.  A procedure that fails on any
+    split is disqualified outright (its column becomes NaN); package
+    errors disqualify, anything else propagates.
     """
     n_splits, n_procs = len(plan), len(procedures)
     crit = np.full((n_splits, n_procs), np.nan)
     disqualified: dict[int, str] = {}
+    order = np.lexsort((sample.y, sample.x))
+    eval_y = [sample.y[ev] for ev in ~plan]
     for j, spec in enumerate(procedures):
+        preds = PROCEDURES[spec.name].holdout(sample, plan, order, spec.arg)
         try:
-            for i, (est, ev) in enumerate(zip(plan, ~plan)):
-                sub = Sample(x=sample.x[est], y=sample.y[est])
-                model = fit_procedure(spec, sub)
-                crit[i, j] = cv_criterion(model, sample.x[ev], sample.y[ev])
+            for i, pred in enumerate(preds):
+                crit[i, j] = _holdout_loss(pred, eval_y[i], spec.id)
         except CvArbiterError as exc:
             crit[:, j] = np.nan
             disqualified[j] = f"{type(exc).__name__}: {exc}"
@@ -118,6 +124,8 @@ def select_on_plan(
     plan = np.asarray(plan)
     if plan.dtype != bool or plan.ndim != 2 or plan.shape[1] != sample.n or len(plan) < 1:
         raise ValueError(f"plan must be a nonempty 2-d bool array with {sample.n} columns")
+    if not (plan.any(axis=1).all() and (~plan).any(axis=1).all()):
+        raise ValueError("every split needs an estimation point and an evaluation point")
     crit, disqualified = _criteria_matrix(procedures, sample, plan)
     votes = tally_votes(crit)
     averaged = averaged_criteria(crit)

@@ -3,6 +3,10 @@
 import numpy as np
 
 from cv_arbiter import rng
+from cv_arbiter.errors import AllProceduresFailed, CvArbiterError
+from cv_arbiter.estimators import fit_procedure
+from cv_arbiter.scenarios import Sample
+from cv_arbiter.selection import cv_criterion
 
 
 def solve_longdouble(a, rhs):
@@ -109,3 +113,31 @@ def sequential_selection_prob(n, n1, mu, sigma, reps, stream):
         hits += int(np.count_nonzero(d > 0))
         done += c
     return hits / reps
+
+
+def per_split_criteria_matrix(procedures, sample, plan):
+    """Reference for ``selection._criteria_matrix``: every procedure fitted
+    through ``fit_procedure`` on a fresh ``Sample`` of each split's
+    estimation half, and scored by ``cv_criterion``.
+
+    A procedure that fails on any split is disqualified outright (its
+    column becomes NaN); package errors disqualify, anything else
+    propagates.
+    """
+    n_splits, n_procs = len(plan), len(procedures)
+    crit = np.full((n_splits, n_procs), np.nan)
+    disqualified: dict[int, str] = {}
+    for j, spec in enumerate(procedures):
+        try:
+            for i, (est, ev) in enumerate(zip(plan, ~plan)):
+                sub = Sample(x=sample.x[est], y=sample.y[est])
+                model = fit_procedure(spec, sub)
+                crit[i, j] = cv_criterion(model, sample.x[ev], sample.y[ev])
+        except CvArbiterError as exc:
+            crit[:, j] = np.nan
+            disqualified[j] = f"{type(exc).__name__}: {exc}"
+    if len(disqualified) == n_procs:
+        raise AllProceduresFailed(
+            "; ".join(f"{procedures[j].id}: {msg}" for j, msg in disqualified.items())
+        )
+    return crit, disqualified

@@ -204,6 +204,44 @@ def test_plot_rejects_malformed_table(tmp_path, capsys, payload):
     assert not (tmp_path / "plots").exists()
 
 
+def test_plot_rejects_mistyped_winners(tmp_path, capsys):
+    row = {
+        "case": "case1", "n": 40, "n1": 20, "n2": 20, "schedule": "ratio:5:5",
+        "scheme": "single", "reps": 2, "winners": "ab", "disqualified": {},
+        "excluded": False, "note": "", "error": None,
+    }
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"procedures": ["poly:1", "poly:2"], "master_seed": 1,
+                                 "rows": [row]}))
+    rc = main(["plot", "--in", str(table), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    assert "winners must be" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prop1", "--sigma", "nan"], "sigma must be"),
+        (["prop1", "--sigma", "-1"], "sigma must be"),
+        (["prop1", "--sigma", "inf"], "sigma must be"),
+        (["prop1", "--mu", "nan"], "mu must be finite"),
+        (["diagnose", "--proc", "poly:1", "--proc", "mean", "--alpha", "nan"], "alpha must be > 0"),
+        (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "nan"], "c must be > 0"),
+        (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "-0.5"], "c must be > 0"),
+    ],
+)
+def test_exact_side_rejects_non_finite_and_out_of_range_arguments(capsys, argv, message):
+    if argv[0] == "prop1":
+        argv = argv + ["--n", "20", "--n1", "10", "--reps", "100"]
+    else:
+        argv = argv + ["--n", "30", "--reps", "50"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_reproduce_subcommand_writes_table(tmp_path):
     rc = main([
         "reproduce", "--case", "3", "--scale", "desk",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,60 @@ def test_loclin_fit_invariant_to_row_order(x, data, bandwidth):
     xx = np.linspace(-0.1, 1.1, 121)
     assert a.lam == b.lam and a.dof == b.dof
     assert np.array_equal(a.predict(xx), b.predict(xx))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x=st.lists(_GRID_X, min_size=8, max_size=40),
+    data=st.data(),
+    proc=st.sampled_from(["poly:0", "poly:1", "poly:3", "spline"]),
+)
+def test_poly_and_spline_predict_bit_identically_under_row_permutation(x, data, proc):
+    # the engine fits on halves cut from a sample it sorted once, which is
+    # sound only if these fits see the (x, y)-sorted rows whatever the order;
+    # y on a coarse grid repeats whole (x, y) rows
+    n = len(x)
+    y = np.array(data.draw(st.lists(
+        st.integers(-8, 8).map(lambda k: k / 4), min_size=n, max_size=n
+    )))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    a_sample = Sample(x=np.array(x), y=y)
+    b_sample = Sample(x=a_sample.x[perm], y=y[perm])
+    fit = fit_smoothing_spline if proc == "spline" else (
+        lambda s: fit_polynomial(s, ProcedureSpec.parse(proc).arg))
+    try:
+        a = fit(a_sample)
+    except (RankDeficient, SampleTooSmall, DegenerateDenominator) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fit(b_sample)
+        return
+    b = fit(b_sample)
+    xx = np.linspace(-0.1, 1.1, 121)
+    assert np.array_equal(a.predict(xx), b.predict(xx))
+    assert a.dof == b.dof and a.lam == b.lam
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    y=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_mean_fit_under_row_permutation(y, data):
+    # fit_mean_model sums y in row order (the selection engine keeps that
+    # order for it), so a permutation can move the mean by rounding only
+    n = len(y)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    x = np.linspace(0.0, 1.0, n)
+    a_sample = Sample(x=x, y=np.array(y))
+    b_sample = Sample(x=x[perm], y=a_sample.y[perm])
+    xx = np.linspace(-0.1, 1.1, 7)
+    assert np.array_equal(fit_mean_model(a_sample, False).predict(xx),
+                          fit_mean_model(b_sample, False).predict(xx))
+    a = fit_mean_model(a_sample, True).predict(xx)
+    b = fit_mean_model(b_sample, True).predict(xx)
+    bound = 4 * n * np.finfo(float).eps * max(np.max(np.abs(a_sample.y)), np.finfo(float).tiny)
+    assert np.all(a == a[0]) and np.all(b == b[0])
+    assert abs(a[0] - b[0]) <= bound
 
 
 # --- cross-cutting properties ------------------------------------------------------

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv_arbiter.errors import ConfigError, ParseError, SampleTooSmall, UnknownFunction
 from cv_arbiter.harness import (
@@ -241,6 +243,68 @@ def test_table_json_round_trip(tmp_path):
 def test_table_from_dict_rejects_malformed_payloads(payload):
     with pytest.raises(ConfigError, match="bad table fields"):
         FrequencyTable.from_dict(payload)
+
+
+_ROW = {
+    "case": "case1", "n": 4, "n1": 2, "n2": 2, "schedule": "ratio:5:5", "scheme": "single",
+    "reps": 2, "winners": [0, -1], "disqualified": {"poly:1": 1}, "excluded": False,
+    "note": "", "error": None,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("winners", "ab"),
+        ("winners", [0.5]),
+        ("winners", [True]),
+        ("winners", [2]),  # the table names two procedures
+        ("disqualified", {"poly:1": "1"}),
+        ("disqualified", [["poly:1", 1]]),
+        ("n", "4"),
+        ("reps", 2.0),
+        ("excluded", 1),
+        ("case", 1),
+        ("note", None),
+        ("error", 5),
+    ],
+)
+def test_table_from_dict_rejects_mistyped_row_fields(field, value):
+    payload = {"procedures": ["poly:1", "poly:2"], "master_seed": 1,
+               "rows": [_ROW | {field: value}]}
+    with pytest.raises(ConfigError, match=f"bad table fields: row 0: {field} must be"):
+        FrequencyTable.from_dict(payload)
+
+
+@pytest.mark.parametrize("overrides", [{"procedures": "poly:1"}, {"master_seed": "1"}])
+def test_table_from_dict_rejects_mistyped_table_fields(overrides):
+    payload = {"procedures": ["poly:1"], "master_seed": 1, "rows": []} | overrides
+    with pytest.raises(ConfigError, match="bad table fields"):
+        FrequencyTable.from_dict(payload)
+
+
+@st.composite
+def _tables(draw):
+    procedures = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4))
+    text = st.text(max_size=10)
+    counts = st.integers(0, 10**6)
+    row = st.builds(
+        CellResult,
+        case=text, n=counts, n1=counts, n2=counts, schedule=text, scheme=text, reps=counts,
+        winners=st.lists(st.integers(-1, len(procedures) - 1), max_size=12),
+        disqualified=st.dictionaries(text, counts, max_size=3),
+        excluded=st.booleans(), note=text, error=st.none() | text,
+    )
+    return FrequencyTable(procedures, draw(st.integers(0, 2**63 - 1)),
+                          draw(st.lists(row, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tables())
+def test_table_dict_round_trip_property(table):
+    loaded = FrequencyTable.from_dict(json.loads(json.dumps(table.to_dict())))
+    assert loaded == table
+    assert loaded.to_csv() == table.to_csv()
 
 
 def test_register_scenario_rejects_registered_ids(scenario_table):

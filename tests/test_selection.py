@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import per_split_criteria_matrix
 
 from cv_arbiter import rng
 from cv_arbiter.errors import AllProceduresFailed, NonFinitePrediction
@@ -9,6 +10,7 @@ from cv_arbiter.estimators import FittedModel, ProcedureSpec, fit_polynomial
 from cv_arbiter.nested_mean import NestedMeanInstance, normalized_cv_diff
 from cv_arbiter.scenarios import Sample, gen_sample, resolve_scenario
 from cv_arbiter.selection import (
+    _criteria_matrix,
     averaged_criteria,
     cv_criterion,
     run_selection,
@@ -273,3 +275,98 @@ def test_select_on_plan_rejects_malformed_plans(plan):
     procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("mean")]
     with pytest.raises(ValueError, match="2-d bool array with 20 columns"):
         select_on_plan(procs, s, plan, vote=False)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        np.array([[True] * 20, [True] * 10 + [False] * 10]),  # a split with no evaluation point
+        np.array([[False] * 20]),  # a split with no estimation point
+    ],
+)
+def test_select_on_plan_rejects_splits_without_both_halves(plan):
+    s = gen_sample(resolve_scenario("case1"), 20, rng.stream("bad-plan"))
+    procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("mean")]
+    with pytest.raises(ValueError, match="estimation point and an evaluation point"):
+        select_on_plan(procs, s, plan, vote=False)
+
+
+# --- the engine against the per-split oracle ------------------------------------------
+
+ORACLE_PROCS = ["poly:1", "poly:2", "poly:45", "spline", "zero", "mean", "loclin:0.3", "loclin:auto"]
+
+
+def _oracle_samples():
+    noisy = gen_sample(resolve_scenario("case2"), 41, rng.stream("oracle", "noisy"))
+    # duplicated x: 41 points on 11 distinct sites, some (x, y) rows repeated
+    g = rng.stream("oracle", "dup")
+    x = np.round(rng.uniforms(g, 41), 1)
+    y = np.round(np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 41), 1)
+    # zero noise: poly:1 and poly:2 both fit exactly and tie at 0
+    line = replace(resolve_scenario("case1"), sigma=0.0)
+    exact = gen_sample(line, 41, rng.stream("oracle", "exact"))
+    return {"noisy": noisy, "duplicated-x": Sample(x=x, y=y), "zero-noise": exact}
+
+
+def _assert_engine_matches_oracle(procs, sample, plan):
+    try:
+        expected = per_split_criteria_matrix(procs, sample, plan)
+    except AllProceduresFailed as exc:
+        with pytest.raises(AllProceduresFailed) as got:
+            _criteria_matrix(procs, sample, plan)
+        assert str(got.value) == str(exc)
+        return None
+    crit, disqualified = _criteria_matrix(procs, sample, plan)
+    assert crit.tobytes() == expected[0].tobytes()
+    assert disqualified == expected[1]
+    return crit, disqualified
+
+
+@pytest.mark.parametrize("sample_id", ["noisy", "duplicated-x", "zero-noise"])
+@pytest.mark.parametrize("scheme_id", ["single", "rlt:6", "rsv:6", "kfold-a:4", "kfold-v:3"])
+@pytest.mark.parametrize("schedule_id", ["ratio:5:5", "ratio:9:1", "n1:8"])
+def test_criteria_matrix_equals_per_split_oracle(sample_id, scheme_id, schedule_id):
+    # every procedure family, bit for bit, with the oracle's disqualification
+    # messages; 41 points make the k-fold folds unequal
+    sample = _oracle_samples()[sample_id]
+    procs = [ProcedureSpec.parse(p) for p in ORACLE_PROCS]
+    scheme, schedule = SelectionScheme.parse(scheme_id), SplitSchedule.parse(schedule_id)
+    plan = make_splits(sample.n, schedule, scheme, rng.stream("oracle-plan", scheme_id, schedule_id))
+    crit, disqualified = _assert_engine_matches_oracle(procs, sample, plan)
+    assert disqualified[2].startswith("RankDeficient: degree 45 needs 46 distinct x values")
+    if sample_id == "zero-noise":
+        assert np.all(crit[:, :2] == 0.0)
+    if plan.sum(axis=1).min() < 10:  # n1:8 outside k-fold
+        assert disqualified[3] == "SampleTooSmall: spline needs >= 10 points, got 8"
+    else:
+        assert 3 not in disqualified
+
+
+@pytest.mark.parametrize("schedule_id", ["ratio:5:5", "n1:4"])
+def test_criteria_matrix_equals_oracle_on_exhaustive_plans(schedule_id):
+    sample = gen_sample(resolve_scenario("case3"), 10, rng.stream("oracle", "exhaustive"))
+    procs = [ProcedureSpec.parse(p) for p in ORACLE_PROCS]
+    scheme, schedule = SelectionScheme.parse("exhaustive-a"), SplitSchedule.parse(schedule_id)
+    plan = make_splits(sample.n, schedule, scheme, rng.stream("oracle-plan", "exhaustive"))
+    _, disqualified = _assert_engine_matches_oracle(procs, sample, plan)
+    assert "SampleTooSmall" in disqualified[3]
+
+
+def test_criteria_matrix_equals_oracle_beyond_the_knots():
+    # every evaluation point lies outside the estimation half's x range, so
+    # the spline and the polynomials extrapolate
+    sample = _oracle_samples()["noisy"]
+    inner = (sample.x > 0.25) & (sample.x < 0.75)
+    outer = ~inner
+    plan = np.array([inner, inner & (sample.x < 0.6) | outer & (sample.x > 0.9)])
+    procs = [ProcedureSpec.parse(p) for p in ORACLE_PROCS]
+    crit, _ = _assert_engine_matches_oracle(procs, sample, plan)
+    assert np.all(np.isfinite(crit[:, 3]))
+
+
+def test_criteria_matrix_equals_oracle_when_every_procedure_fails():
+    sample = _oracle_samples()["noisy"]
+    plan = make_splits(sample.n, SplitSchedule.parse("n1:3"), SelectionScheme.parse("rlt:3"),
+                       rng.stream("oracle-plan", "all-fail"))
+    procs = [ProcedureSpec.parse(p) for p in ("poly:45", "spline", "loclin:auto")]
+    assert _assert_engine_matches_oracle(procs, sample, plan) is None
