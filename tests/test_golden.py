@@ -1,5 +1,5 @@
-"""Golden pins: sha256 digests of the bytes the harness, ``select`` and
-``diagnose`` produce on small fixed inputs.
+"""Golden pins: sha256 digests of the bytes the harness, ``select``,
+``diagnose`` and the public fits produce on small fixed inputs.
 
 A refactor that changes no behaviour must leave every digest unchanged.
 The grid mixes every procedure family, the single split, averaging,
@@ -12,7 +12,9 @@ import json
 
 from cv_arbiter import rng
 from cv_arbiter.diagnostics import diagnostics_report
-from cv_arbiter.estimators import ProcedureSpec
+import numpy as np
+
+from cv_arbiter.estimators import ProcedureSpec, fit_procedure
 from cv_arbiter.harness import ExperimentConfig, run_experiment, select_from_csv
 from cv_arbiter.scenarios import gen_sample, resolve_scenario
 from cv_arbiter.selection import run_selection
@@ -23,6 +25,7 @@ GRID_JSON = "966f3ec653e3d3c6afabb256bae06d6b5c67c17e9ed8417a677c52305da88ee4"
 SELECT_REPORT = "04d6157b937fea84d875dffd32d0a545e4cfdc439fe27f51081e1b2c6ac300e9"
 DIAGNOSE_REPORT = "9e90a43f7d6fc1a5a1f7d81c3eff1b7817f54e79887f71e409a4b7b0790675cf"
 SELECTION_PLANS = "1d249a5ea35c495311713ea16a54afed8b88b51d8d7f9a8b024ae7590f98f524"
+PUBLIC_FITS = "6f2229ad899d55ac68e1ce5cf9a8429a6cc74d8530b52bbe1f40b236acba36da"
 
 SCHEMES = ["single", "rlt:5", "rsv:5", "kfold-a:3", "kfold-v:3", "exhaustive-a", "exhaustive-v"]
 SCHEDULES = ["ratio:3:2", "est-dom", "eval-dom", "n1:4"]
@@ -95,3 +98,18 @@ def test_golden_selection_every_scheme_and_schedule():
             digest.update(f"{scheme_id} {schedule_id} {outcome.selected} "
                           f"{estimation_size(sample.n, schedule, scheme)};".encode())
     assert digest.hexdigest() == SELECTION_PLANS
+
+
+def test_golden_public_fits():
+    # every family through fit_procedure on one sample: predictions on a
+    # grid that reaches past the data, dof, lam and coefficients
+    sample = gen_sample(resolve_scenario("case3"), 60, rng.stream("golden-fits"))
+    grid = np.linspace(-0.1, 1.1, 241)
+    digest = hashlib.sha256()
+    for proc_id in ("poly:2", "zero", "mean", "spline", "loclin:0.3", "loclin:auto"):
+        model = fit_procedure(ProcedureSpec.parse(proc_id), sample)
+        digest.update(np.asarray(model.predict(grid), dtype="<f8").tobytes())
+        coefs = model.coefficients
+        digest.update(f"{proc_id} {model.dof!r} {model.lam!r} {model.label};".encode())
+        digest.update(b"-" if coefs is None else np.asarray(coefs, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PUBLIC_FITS
