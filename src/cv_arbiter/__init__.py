@@ -13,7 +13,6 @@ from .diagnostics import (
 from .errors import CvArbiterError
 from .estimators import (
     FittedModel,
-    LambdaGrid,
     ProcedureSpec,
     fit_local_linear,
     fit_mean_model,

@@ -232,8 +232,12 @@ def diagnostics_report(
     """Run the full probe battery for the CLI ``diagnose`` subcommand.
 
     Pairwise probes use the first two procedures and are omitted when
-    only one is given.  BLAS runs single-threaded throughout.
+    only one is given; ``c`` and ``alpha`` are checked before any probe
+    runs either way.  BLAS runs single-threaded throughout.
     """
+    for name, value in (("c", c), ("alpha", alpha)):
+        if not value > 0:  # NaN fails too
+            raise ValueError(f"{name} must be > 0, got {value}")
     procs = [ProcedureSpec.parse(p) for p in proc_ids]
     report = DiagnosticsReport(
         case=case_id, n=n, reps=reps, seed=seed, procedures=[p.id for p in procs]

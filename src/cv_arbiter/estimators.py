@@ -5,19 +5,22 @@ polynomial least squares, the trivial zero/constant-mean fits, a
 penalized cubic B-spline smoother tuned by generalized cross validation,
 and a local linear kernel smoother.
 
-The polynomial, spline and local linear fits canonicalize the sample by
-sorting on (x, y) first, so they are exactly invariant to the ordering
-of sample rows; the mean fit averages in row order.  Each of those three
-fits is a sorted-input kernel, which the selection engine calls on the
-estimation halves of a sample it has sorted once.  Every returned
-prediction function is total on [0, 1].
+Each ``PROCEDURES`` row holds the one function that builds its
+procedure's ``FittedModel`` from arrays x and y.  The polynomial, spline
+and local linear rows are ``canonical``: their fits take rows sorted by
+(x, y), so they are exactly invariant to the ordering of sample rows.
+The zero and mean fits take the sample's row order, in which the mean
+sums y.  ``fit_procedure`` and the public ``fit_*`` order a whole sample
+that way; the selection engine sorts a sample once and cuts each split's
+estimation half from it.  Every returned prediction function is total
+on [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -30,56 +33,21 @@ from .errors import (
     SampleTooSmall,
 )
 from .scenarios import Sample
+from .splits import _lookup
 
 MAX_INTERIOR_SITES = 35  # cap on distinct knot sites (incl. the two boundary knots)
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Smoothing-parameter grid specification.
-
-    A default grid has ``points`` logarithmically spaced values spanning
-    ``decades`` decades.  Its top is anchored at
-    ``top_stiffness / s_min`` where ``s_min`` is the smallest nonzero
-    eigenvalue of the fit's normalized penalty, which pins the top of
-    the grid at effective degrees of freedom 2 (the penalty null space)
-    while the bottom reaches the unpenalized end.  ``values`` overrides
-    everything with explicit absolute lambdas.
-    """
-
-    points: int = 81
-    decades: float = 16.0
-    top_stiffness: float = 1e8
-    values: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.values is not None:
-            vals = tuple(float(v) for v in self.values)
-            if not vals or any(not np.isfinite(v) or v <= 0 for v in vals):
-                raise ValueError("explicit lambda grid must be positive and finite")
-            object.__setattr__(self, "values", tuple(sorted(vals)))
-        elif self.points < 1 or self.decades <= 0 or self.top_stiffness <= 0:
-            raise ValueError("bad lambda grid specification")
-
-    @classmethod
-    def explicit(cls, values) -> "LambdaGrid":
-        return cls(values=tuple(values))
-
-    def resolve(self, s_min_nonzero: float) -> np.ndarray:
-        """Return the absolute, ascending lambda values for one fit."""
-        if self.values is not None:
-            return np.asarray(self.values, dtype=float)
-        top = self.top_stiffness / s_min_nonzero
-        if self.points == 1:
-            return np.array([top])
-        return top * _geomspace_template(self.decades, self.points)
-
-
-@lru_cache(maxsize=None)
-def _geomspace_template(decades: float, points: int) -> np.ndarray:
-    template = np.geomspace(10.0 ** (-decades), 1.0, points)
-    template.flags.writeable = False
-    return template
+# The default smoothing-parameter grid: LAMBDA_POINTS values spaced
+# geometrically over LAMBDA_DECADES decades, topped at TOP_STIFFNESS / s_min,
+# where s_min is the smallest nonzero eigenvalue of the fit's normalized
+# penalty.  That pins the top at effective degrees of freedom 2 (the
+# penalty null space) while the bottom reaches the unpenalized end.
+LAMBDA_POINTS = 81
+LAMBDA_DECADES = 16.0
+TOP_STIFFNESS = 1e8
+_LAMBDA_TEMPLATE = np.geomspace(10.0 ** (-LAMBDA_DECADES), 1.0, LAMBDA_POINTS)
+_LAMBDA_TEMPLATE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -100,23 +68,27 @@ class ProcedureSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ProcedureSpec":
-        name, colon, arg = text.strip().partition(":")
-        entry = PROCEDURES.get(name)
-        if entry is None or (entry.parse_arg is None) == bool(colon):
-            raise ValueError(f"unknown procedure id: {text!r}")
-        return cls(name, entry.parse_arg(arg) if colon else None)
+        return cls(*_lookup(PROCEDURES, text, "procedure"))
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """An immutable fitted procedure: a prediction function plus metadata."""
+    """An immutable fitted procedure: a prediction function plus metadata.
+
+    ``trace`` computes the effective degrees of freedom; it runs once, on
+    the first read of ``dof``, so a fit whose dof nothing reads never
+    pays for it.
+    """
 
     predict: Callable[[np.ndarray], np.ndarray]
-    dof: float
-    train_n: int
+    trace: Callable[[], float]
     lam: float | None = None
     coefficients: np.ndarray | None = None
     label: str = ""
+
+    @cached_property
+    def dof(self) -> float:
+        return self.trace()
 
 
 class GcvPoint(NamedTuple):
@@ -126,7 +98,7 @@ class GcvPoint(NamedTuple):
 
 
 def _canonical(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows by (x, y); makes the sorted-input fits exactly order-invariant."""
+    """Sort rows by (x, y), the order the canonical fits take."""
     order = np.lexsort((sample.y, sample.x))
     return sample.x[order], sample.y[order]
 
@@ -148,21 +120,21 @@ def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
 # --- polynomial and mean fits -------------------------------------------------
 
 
-def _poly_coefs(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Least-squares coefficients on (x, y)-sorted rows, lowest order first."""
+def _poly_model(x: np.ndarray, y: np.ndarray, degree: int) -> FittedModel:
+    """Least-squares polynomial on (x, y)-sorted rows."""
     distinct = len(_distinct(x))
     if distinct < degree + 1:
         raise RankDeficient(
             f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
     basis = np.vander(x, degree + 1, increasing=True)
-    coefs, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return coefs
-
-
-def _poly_predictor(x: np.ndarray, y: np.ndarray, degree: int):
-    coefs = _poly_coefs(x, y, degree)
-    return lambda xv: np.polynomial.polynomial.polyval(xv, coefs)
+    coefs, *_ = np.linalg.lstsq(basis, y, rcond=None)  # lowest order first
+    return FittedModel(
+        predict=_vectorized(lambda xv: np.polynomial.polynomial.polyval(xv, coefs)),
+        trace=lambda: float(degree + 1),
+        coefficients=coefs,
+        label=f"poly:{degree}",
+    )
 
 
 def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
@@ -174,19 +146,17 @@ def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
     Raises RankDeficient when the sample has fewer than degree + 1
     distinct x values.
     """
-    x, y = _canonical(sample)
-    coefs = _poly_coefs(x, y, degree)
+    return _poly_model(*_canonical(sample), degree)
+
+
+def _mean_model(y: np.ndarray, with_mean: bool) -> FittedModel:
+    value = float(np.mean(y)) if with_mean else 0.0
     return FittedModel(
-        predict=_vectorized(lambda xv: np.polynomial.polynomial.polyval(xv, coefs)),
-        dof=float(degree + 1),
-        train_n=sample.n,
-        coefficients=coefs,
-        label=f"poly:{degree}",
+        predict=_vectorized(lambda xv: np.full_like(xv, value)),
+        trace=lambda: float(with_mean),
+        coefficients=np.array([value]),
+        label="mean" if with_mean else "zero",
     )
-
-
-def _mean_value(y: np.ndarray, with_mean: bool) -> float:
-    return float(np.mean(y)) if with_mean else 0.0
 
 
 def fit_mean_model(sample: Sample, with_mean: bool) -> FittedModel:
@@ -195,14 +165,7 @@ def fit_mean_model(sample: Sample, with_mean: bool) -> FittedModel:
     The mean is summed in the sample's row order, so permuting the rows
     can move it by a rounding error.
     """
-    value = _mean_value(sample.y, with_mean)
-    return FittedModel(
-        predict=_vectorized(lambda xv: np.full_like(xv, value)),
-        dof=1.0 if with_mean else 0.0,
-        train_n=sample.n,
-        coefficients=np.array([value]),
-        label="mean" if with_mean else "zero",
-    )
+    return _mean_model(sample.y, with_mean)
 
 
 # --- penalized cubic B-spline smoother ----------------------------------------
@@ -272,12 +235,26 @@ def _spline_system(x: np.ndarray, y: np.ndarray):
     return t, R, v, s, w, r
 
 
-def _spline_profile(x, y, grid: LambdaGrid):
-    """GCV over the grid; returns (t, lams, gcv, dof, coefs_at(j))."""
+def _spline_profile(x: np.ndarray, y: np.ndarray, lams: Sequence[float] | None):
+    """GCV over the lambda grid on (x, y)-sorted rows; returns
+    (t, lams, gcv, dof, coefs_at(j)) with ``lams`` ascending.
+
+    ``lams`` None is the default grid; explicit values must be positive
+    and finite.
+    """
+    if lams is not None:
+        lams = np.sort(np.asarray(lams, dtype=float))
+        if lams.ndim != 1 or not lams.size or not np.all(np.isfinite(lams) & (lams > 0)):
+            raise ValueError("explicit lambda grid must be positive and finite")
+    if len(x) < 10:
+        raise SampleTooSmall(f"spline needs >= 10 points, got {len(x)}")
+    if len(_distinct(x)) < 4:
+        raise RankDeficient("spline needs >= 4 distinct x values")
     t, R, v, s, w, r = _spline_system(x, y)
     if s[2] <= 0.0:
         raise RankDeficient("spline penalty is rank deficient beyond its null space")
-    lams = grid.resolve(s[2])
+    if lams is None:
+        lams = TOP_STIFFNESS / s[2] * _LAMBDA_TEMPLATE
     stiff = np.outer(s, lams)  # k x L
     shrink = 1.0 / (1.0 + stiff)
     # RSS is a sum of nonnegative terms: 1 - shrink is formed as
@@ -296,39 +273,21 @@ def _spline_profile(x, y, grid: LambdaGrid):
     return t, lams, gcv, dof, coefs_at
 
 
-def _check_spline_input(x: np.ndarray) -> None:
-    if len(x) < 10:
-        raise SampleTooSmall(f"spline needs >= 10 points, got {len(x)}")
-    if len(_distinct(x)) < 4:
-        raise RankDeficient("spline needs >= 4 distinct x values")
-
-
-def gcv_profile(sample: Sample, grid: LambdaGrid | None = None) -> list[GcvPoint]:
+def gcv_profile(sample: Sample, lams: Sequence[float] | None = None) -> list[GcvPoint]:
     """GCV score n*RSS / (n - tr S)^2 and trace over the lambda grid.
 
-    Grid points whose smoother trace reaches n are reported with a
-    ``gcv`` of +inf (the denominator is degenerate there); entries are
-    ordered by ascending lambda.
+    ``lams`` replaces the default grid with explicit positive, finite
+    values.  Grid points whose smoother trace reaches n are reported
+    with a ``gcv`` of +inf (the denominator is degenerate there);
+    entries are ordered by ascending lambda.
     """
-    x, y = _canonical(sample)
-    _check_spline_input(x)
-    _, lams, gcv, dof, _ = _spline_profile(x, y, grid or LambdaGrid())
+    _, lams, gcv, dof, _ = _spline_profile(*_canonical(sample), lams)
     return [GcvPoint(float(l), float(g), float(d)) for l, g, d in zip(lams, gcv, dof)]
-
-
-def _spline_fit(x: np.ndarray, y: np.ndarray, grid: LambdaGrid | None):
-    """GCV-tuned spline on (x, y)-sorted rows: (knots, coefficients, lambda, dof)."""
-    _check_spline_input(x)
-    t, lams, gcv, dof, coefs_at = _spline_profile(x, y, grid or LambdaGrid())
-    if not np.any(np.isfinite(gcv)):
-        raise DegenerateDenominator("smoother trace reaches n at every grid lambda")
-    best = int(np.argmin(gcv))  # first minimum = smallest lambda on ties
-    return t, coefs_at(best), float(lams[best]), float(dof[best])
 
 
 def _spline_curve(t: np.ndarray, c: np.ndarray):
     """The spline's prediction function, linear beyond the knot range."""
-    spl = BSpline.construct_fast(t, c, 3)  # t and c come valid from _spline_fit
+    spl = BSpline.construct_fast(t, c, 3)  # t and c come valid from _spline_model
     a, b = t[3], t[-4]
 
     def raw(xv):
@@ -345,26 +304,31 @@ def _spline_curve(t: np.ndarray, c: np.ndarray):
     return raw
 
 
-def _spline_predictor(x: np.ndarray, y: np.ndarray, grid: LambdaGrid | None):
-    return _spline_curve(*_spline_fit(x, y, grid)[:2])
-
-
-def fit_smoothing_spline(sample: Sample, grid: LambdaGrid | None = None) -> FittedModel:
-    """Penalized cubic B-spline with GCV-selected lambda.
-
-    Ties on the GCV grid break toward the smallest lambda.  Predictions
-    extrapolate linearly outside the knot range.  Raises
-    DegenerateDenominator if no grid point has a usable GCV value.
-    """
-    t, c, lam, dof = _spline_fit(*_canonical(sample), grid)
+def _spline_model(x: np.ndarray, y: np.ndarray, lams: Sequence[float] | None) -> FittedModel:
+    """GCV-tuned spline on (x, y)-sorted rows."""
+    t, lams, gcv, dof, coefs_at = _spline_profile(x, y, lams)
+    if not np.any(np.isfinite(gcv)):
+        raise DegenerateDenominator("smoother trace reaches n at every grid lambda")
+    best = int(np.argmin(gcv))  # first minimum = smallest lambda on ties
+    c = coefs_at(best)
     return FittedModel(
         predict=_vectorized(_spline_curve(t, c)),
-        dof=dof,
-        train_n=sample.n,
-        lam=lam,
+        trace=lambda: float(dof[best]),
+        lam=float(lams[best]),
         coefficients=c,
         label="spline",
     )
+
+
+def fit_smoothing_spline(sample: Sample, lams: Sequence[float] | None = None) -> FittedModel:
+    """Penalized cubic B-spline with GCV-selected lambda.
+
+    ``lams`` replaces the default grid with explicit positive, finite
+    values.  Ties on the GCV grid break toward the smallest lambda.
+    Predictions extrapolate linearly outside the knot range.  Raises
+    DegenerateDenominator if no grid point has a usable GCV value.
+    """
+    return _spline_model(*_canonical(sample), lams)
 
 
 # --- local linear kernel smoother ---------------------------------------------
@@ -611,9 +575,15 @@ def _loclin_bandwidth(xt: np.ndarray, yt: np.ndarray, bandwidth: float | str) ->
     return best_h
 
 
-def _loclin_predictor(xt: np.ndarray, yt: np.ndarray, bandwidth: float | str):
+def _loclin_model(xt: np.ndarray, yt: np.ndarray, bandwidth: float | str) -> FittedModel:
+    """Local linear fit on (x, y)-sorted rows; its dof costs one more pass."""
     h = _loclin_bandwidth(xt, yt, bandwidth)
-    return lambda xv: _loclin_batch(xt, yt, h, xv)[0]
+    return FittedModel(
+        predict=_vectorized(lambda xv: _loclin_batch(xt, yt, h, xv)[0]),
+        trace=lambda: float(np.clip(np.sum(_loclin_batch(xt, yt, h, xt)[1]), 0.0, len(xt))),
+        lam=h,
+        label=f"loclin:{bandwidth}",
+    )
 
 
 def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedModel:
@@ -624,16 +594,7 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
     fit supports a non-degenerate line.  Raises BandwidthTooSmall when
     no grid bandwidth is usable.
     """
-    xt, yt = _canonical(sample)
-    h = _loclin_bandwidth(xt, yt, bandwidth)
-    _, selfw, _ = _loclin_batch(xt, yt, h, xt)
-    return FittedModel(
-        predict=_vectorized(lambda xv: _loclin_batch(xt, yt, h, xv)[0]),
-        dof=float(np.clip(np.sum(selfw), 0.0, sample.n)),
-        train_n=sample.n,
-        lam=h,
-        label=f"loclin:{bandwidth}",
-    )
+    return _loclin_model(*_canonical(sample), bandwidth)
 
 
 # --- the procedure table ------------------------------------------------------
@@ -655,59 +616,23 @@ def _bandwidth(text: str) -> float | str:
     return h
 
 
-def _split_fits(predictor, sorted_input: bool = True):
-    """A ``holdout`` entry that fits ``predictor(x, y, arg)`` on each split.
-
-    With ``sorted_input`` each estimation half is cut from the sample
-    sorted once by (x, y), so it arrives canonical and ``predictor`` is a
-    sorted-input kernel; otherwise the half keeps the sample's row order.
-    Each split's predictions are made at its evaluation points, in row
-    order.
-    """
-
-    def holdout(sample: Sample, plan: np.ndarray, order: np.ndarray, arg) -> Iterator:
-        x, y, fit_plan = sample.x, sample.y, plan
-        if sorted_input:
-            x, y, fit_plan = x[order], y[order], plan[:, order]
-        for est, ev in zip(fit_plan, ~plan):
-            yield predictor(x[est], y[est], arg)(sample.x[ev])
-
-    return holdout
-
-
 class Procedure(NamedTuple):
     parse_arg: Callable[[str], object] | None  # None: the id takes no argument
-    fit: Callable[[Sample, object], FittedModel]  # (sample, arg) -> model
-    # (sample, plan, order, arg) -> each split's predictions at its evaluation
-    # points; ``order`` sorts the sample's rows by (x, y)
-    holdout: Callable[[Sample, np.ndarray, np.ndarray, object], Iterator[np.ndarray]]
-
-
-def _trivial(with_mean: bool) -> Procedure:
-    """The zero or mean row.  Its fits keep the sample's row order, the
-    order in which ``fit_mean_model`` sums y."""
-
-    def predictor(x, y, _):
-        value = _mean_value(y, with_mean)
-        return lambda xv: np.full_like(xv, value)
-
-    return Procedure(
-        None,
-        lambda sample, _: fit_mean_model(sample, with_mean),
-        _split_fits(predictor, sorted_input=False),
-    )
+    fit: Callable[[np.ndarray, np.ndarray, object], FittedModel]  # (x, y, arg) -> model
+    canonical: bool = True  # fit takes rows sorted by (x, y), else in row order
 
 
 PROCEDURES: dict[str, Procedure] = {
-    "poly": Procedure(_degree, fit_polynomial, _split_fits(_poly_predictor)),
-    "zero": _trivial(with_mean=False),
-    "mean": _trivial(with_mean=True),
-    # arg None: the default grid
-    "spline": Procedure(None, fit_smoothing_spline, _split_fits(_spline_predictor)),
-    "loclin": Procedure(_bandwidth, fit_local_linear, _split_fits(_loclin_predictor)),
+    "poly": Procedure(_degree, _poly_model),
+    "zero": Procedure(None, lambda x, y, _: _mean_model(y, False), canonical=False),
+    "mean": Procedure(None, lambda x, y, _: _mean_model(y, True), canonical=False),
+    "spline": Procedure(None, _spline_model),  # arg None: the default grid
+    "loclin": Procedure(_bandwidth, _loclin_model),
 }
 
 
 def fit_procedure(spec: ProcedureSpec, sample: Sample) -> FittedModel:
     """Fit one candidate procedure on a sample."""
-    return PROCEDURES[spec.name].fit(sample, spec.arg)
+    row = PROCEDURES[spec.name]
+    x, y = _canonical(sample) if row.canonical else (sample.x, sample.y)
+    return row.fit(x, y, spec.arg)

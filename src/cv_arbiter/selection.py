@@ -3,7 +3,8 @@ and one selection rule over a split plan.
 
 A plan is a (splits x n) boolean array, True on each split's estimation
 points.  Within one plan every procedure sees exactly the same splits,
-and each procedure is fitted once per split.  Voting schemes select the
+and each procedure is fitted once per split, by its ``PROCEDURES`` row's
+fit, and scored by ``cv_criterion``.  Voting schemes select the
 procedure that wins the most splits; every other scheme selects the
 lowest criterion averaged over splits, the single split being a plan
 of one split.  Ties always break toward the lowest procedure index.
@@ -21,15 +22,6 @@ from .scenarios import Sample
 from .splits import SelectionScheme, SplitSchedule, make_splits
 
 
-def _holdout_loss(pred: np.ndarray, eval_y: np.ndarray, label: str) -> float:
-    if not np.isfinite(pred).all():
-        raise NonFinitePrediction(f"{label} predicted non-finite values")
-    resid = eval_y - pred
-    if np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(eval_y).max()):
-        return 0.0
-    return float((resid**2).sum())
-
-
 def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> float:
     """Sum of squared prediction errors on the evaluation points.
 
@@ -42,7 +34,13 @@ def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> 
     eval_y = np.asarray(eval_y, dtype=float)
     if len(eval_x) < 1 or len(eval_x) != len(eval_y):
         raise ValueError("evaluation vectors must be nonempty and equal length")
-    return _holdout_loss(model.predict(eval_x), eval_y, model.label or "model")
+    pred = model.predict(eval_x)
+    if not np.isfinite(pred).all():
+        raise NonFinitePrediction(f"{model.label or 'model'} predicted non-finite values")
+    resid = eval_y - pred
+    if np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(eval_y).max()):
+        return 0.0
+    return float((resid**2).sum())
 
 
 @dataclass(frozen=True)
@@ -67,22 +65,29 @@ def _criteria_matrix(
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Fit every procedure on every split's estimation half and score it.
 
-    The sample is sorted by (x, y) once for all procedures and splits
-    (see ``estimators.Procedure.holdout``); each criterion is
-    ``cv_criterion`` of the split's fit.  A procedure that fails on any
-    split is disqualified outright (its column becomes NaN); package
-    errors disqualify, anything else propagates.
+    The sample is sorted by (x, y) once for all procedures and splits, and
+    a canonical row's estimation halves are cut from the sorted rows; the
+    other rows' halves keep the sample's row order.  Each criterion is
+    ``cv_criterion`` of the split's fit at its evaluation points, in row
+    order.  A procedure that fails on any split is disqualified outright
+    (its column becomes NaN); package errors disqualify, anything else
+    propagates.
     """
     n_splits, n_procs = len(plan), len(procedures)
     crit = np.full((n_splits, n_procs), np.nan)
     disqualified: dict[int, str] = {}
     order = np.lexsort((sample.y, sample.x))
-    eval_y = [sample.y[ev] for ev in ~plan]
+    by_xy = sample.x[order], sample.y[order], plan[:, order]
+    by_row = sample.x, sample.y, plan
+    ev_plan = ~plan
+    eval_y = [sample.y[ev] for ev in ev_plan]
     for j, spec in enumerate(procedures):
-        preds = PROCEDURES[spec.name].holdout(sample, plan, order, spec.arg)
+        row = PROCEDURES[spec.name]
+        x, y, est_plan = by_xy if row.canonical else by_row
         try:
-            for i, pred in enumerate(preds):
-                crit[i, j] = _holdout_loss(pred, eval_y[i], spec.id)
+            for i, (est, ev) in enumerate(zip(est_plan, ev_plan)):
+                model = row.fit(x[est], y[est], spec.arg)
+                crit[i, j] = cv_criterion(model, sample.x[ev], eval_y[i])
         except CvArbiterError as exc:
             crit[:, j] = np.nan
             disqualified[j] = f"{type(exc).__name__}: {exc}"

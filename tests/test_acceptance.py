@@ -18,7 +18,6 @@ from cv_arbiter import rng
 from cv_arbiter.diagnostics import empirical_norm, rate_slope
 from cv_arbiter.estimators import (
     FittedModel,
-    LambdaGrid,
     ProcedureSpec,
     fit_local_linear,
     fit_polynomial,
@@ -167,7 +166,7 @@ def test_c7_estimator_property_suite():
 
     # (a) top-of-grid spline equals the least-squares line
     top = gcv_profile(s)[-1].lam
-    spline_top = fit_smoothing_spline(s, LambdaGrid.explicit([top]))
+    spline_top = fit_smoothing_spline(s, [top])
     line = fit_polynomial(s, 1)
     assert np.max(np.abs(spline_top.predict(grid_pts) - line.predict(grid_pts))) <= 1e-6
 
@@ -204,7 +203,7 @@ def test_c7_estimator_property_suite():
 @pytest.mark.acceptance
 def test_c8_norm_and_rate_anchors():
     zero_scen = resolve_scenario("mean(0)")
-    ident = FittedModel(predict=lambda v: np.asarray(v, float), dof=0.0, train_n=1)
+    ident = FittedModel(predict=lambda v: np.asarray(v, float), trace=lambda: 0.0)
     l2, se2 = empirical_norm(ident, zero_scen, 2, 100_000, rng.stream("c8", 2))
     assert abs(l2 - 3 ** -0.5) <= 3 * se2
     l4, se4 = empirical_norm(ident, zero_scen, 4, 100_000, rng.stream("c8", 4))

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from cv_arbiter import diagnostics
 from cv_arbiter.cli import main
 
 
@@ -240,6 +241,23 @@ def test_exact_side_rejects_non_finite_and_out_of_range_arguments(capsys, argv, 
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("flag", ["--c", "--alpha"])
+@pytest.mark.parametrize("procs", [["poly:1"], ["poly:1", "mean"]])
+def test_diagnose_checks_c_and_alpha_before_any_probe(capsys, monkeypatch, flag, procs):
+    # with one procedure c and alpha go unused, and still a NaN is refused
+    def no_fit(*args):
+        raise AssertionError("a probe ran before the argument check")
+
+    monkeypatch.setattr(diagnostics, "fit_procedure", no_fit)
+    argv = ["diagnose", "--n", "30", "--reps", "50", flag, "nan"]
+    for proc in procs:
+        argv += ["--proc", proc]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{flag[2:]} must be > 0, got nan" in out.err
 
 
 def test_reproduce_subcommand_writes_table(tmp_path):

@@ -28,7 +28,7 @@ P = ProcedureSpec.parse
 
 
 def _model(fn):
-    return FittedModel(predict=lambda x: np.asarray(fn(np.asarray(x, float))), dof=0.0, train_n=1)
+    return FittedModel(predict=lambda x: np.asarray(fn(np.asarray(x, float))), trace=lambda: 0.0)
 
 
 def test_constant_error_gives_constant_norms():

@@ -16,7 +16,6 @@ from cv_arbiter.errors import (
 )
 from cv_arbiter.estimators import (
     PROCEDURES,
-    LambdaGrid,
     ProcedureSpec,
     _loclin_batch,
     _spline_design,
@@ -137,14 +136,14 @@ def test_spline_reproduces_line_at_every_grid_lambda():
     s = Sample(x=x, y=y)
     xx = GRID_10001
     for point in gcv_profile(s):
-        m = fit_smoothing_spline(s, LambdaGrid.explicit([point.lam]))
+        m = fit_smoothing_spline(s, [point.lam])
         assert np.max(np.abs(m.predict(xx) - (0.7 + 1.3 * xx))) <= 1e-6
 
 
 def test_spline_top_lambda_matches_linear_fit():
     s = _noisy_sine(50, seed=2)
     top = gcv_profile(s)[-1].lam
-    m = fit_smoothing_spline(s, LambdaGrid.explicit([top]))
+    m = fit_smoothing_spline(s, [top])
     line = fit_polynomial(s, 1)
     gap = np.max(np.abs(m.predict(GRID_10001) - line.predict(GRID_10001)))
     assert gap <= 1e-6
@@ -261,10 +260,10 @@ def test_spline_degenerate_denominator():
     x = rng.uniforms(g, 10)
     y = rng.normals(g, 10)
     s = Sample(x=x, y=y)
-    profile = gcv_profile(s, LambdaGrid.explicit([1e-300]))
+    profile = gcv_profile(s, [1e-300])
     assert profile[0].gcv == np.inf
     with pytest.raises(DegenerateDenominator):
-        fit_smoothing_spline(s, LambdaGrid.explicit([1e-300]))
+        fit_smoothing_spline(s, [1e-300])
 
 
 def test_spline_needs_four_distinct_x():
@@ -283,15 +282,16 @@ def test_spline_handles_duplicate_x():
 
 
 def test_lambda_grid_validation():
-    with pytest.raises(ValueError):
-        LambdaGrid.explicit([0.0, 1.0])
-    with pytest.raises(ValueError):
-        LambdaGrid.explicit([np.inf])
-    with pytest.raises(ValueError):
-        LambdaGrid(points=0)
-    grid = LambdaGrid().resolve(10.0)
-    assert len(grid) == 81
-    assert grid[-1] / grid[0] == pytest.approx(1e16, rel=1e-6)
+    s = _noisy_sine(30, seed=3)
+    for bad in ([0.0, 1.0], [np.inf], [np.nan], [-1.0], []):
+        with pytest.raises(ValueError):
+            fit_smoothing_spline(s, bad)
+        with pytest.raises(ValueError):
+            gcv_profile(s, bad)
+    lams = [p.lam for p in gcv_profile(s)]
+    assert len(lams) == estimators.LAMBDA_POINTS == 81
+    assert lams[-1] / lams[0] == pytest.approx(1e16, rel=1e-6)
+    assert [p.lam for p in gcv_profile(s, [3.0, 1.0, 2.0])] == [1.0, 2.0, 3.0]
 
 
 # --- local linear -----------------------------------------------------------------

@@ -1,10 +1,13 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import per_split_criteria_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cv_arbiter import rng
+from cv_arbiter import rng, selection
 from cv_arbiter.errors import AllProceduresFailed, NonFinitePrediction
 from cv_arbiter.estimators import FittedModel, ProcedureSpec, fit_polynomial
 from cv_arbiter.nested_mean import NestedMeanInstance, normalized_cv_diff
@@ -24,7 +27,7 @@ SINGLE = SelectionScheme.parse("single")
 
 def _model(fn, label="m"):
     return FittedModel(
-        predict=lambda x: np.asarray(fn(np.asarray(x, float))), dof=0.0, train_n=1, label=label
+        predict=lambda x: np.asarray(fn(np.asarray(x, float))), trace=lambda: 0.0, label=label
     )
 
 
@@ -91,6 +94,48 @@ def test_two_procedure_vote_matches_majority_rule():
         votes = tally_votes(crit)
         wins0 = int(np.sum(crit[:, 0] <= crit[:, 1]))
         assert (int(np.argmax(votes)) == 0) == (wins0 >= (len(crit) + 1) // 2)
+
+
+@st.composite
+def _tied_criteria(draw):
+    """A criteria matrix of small integers (so ties are common) with some,
+    but not all, columns NaN, as disqualification leaves them."""
+    n_splits = draw(st.integers(1, 6))
+    n_procs = draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(0, 2), min_size=n_splits * n_procs,
+                           max_size=n_splits * n_procs))
+    crit = np.array(values, dtype=float).reshape(n_splits, n_procs)
+    dead = draw(st.lists(st.booleans(), min_size=n_procs, max_size=n_procs))
+    if all(dead):
+        dead[draw(st.integers(0, n_procs - 1))] = False
+    crit[:, dead] = np.nan
+    return crit, [j for j in range(n_procs) if not dead[j]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_criteria(), st.booleans())
+def test_select_on_plan_ties_pick_the_lowest_index(generated, vote):
+    crit, alive = generated
+    n_splits, n_procs = crit.shape
+    sample = Sample(x=np.linspace(0.0, 1.0, 4), y=np.zeros(4))
+    plan = np.tile([True, True, False, False], (n_splits, 1))
+    procs = [ProcedureSpec.parse("zero")] * n_procs
+    disqualified = {j: "RankDeficient" for j in range(n_procs) if j not in alive}
+    with mock.patch.object(selection, "_criteria_matrix", return_value=(crit, disqualified)):
+        out = select_on_plan(procs, sample, plan, vote)
+    if vote:
+        # each split's winner: the first live column at the row minimum
+        votes = [0] * n_procs
+        for row in crit:
+            best = min(row[j] for j in alive)
+            votes[next(j for j in alive if row[j] == best)] += 1
+        expected = votes.index(max(votes))
+        assert out.votes.tolist() == votes
+    else:
+        sums = {j: sum(int(v) for v in crit[:, j]) for j in alive}
+        expected = next(j for j in alive if sums[j] == min(sums.values()))
+    assert out.selected == expected
+    assert out.selected in alive
 
 
 # --- end-to-end selectors ---------------------------------------------------------
