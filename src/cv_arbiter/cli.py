@@ -83,6 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _comma_list(text: str | None, convert=str) -> list | None:
+    """A comma-list flag's values, None when the flag is absent; an empty
+    string is an empty list, which the grid check rejects."""
+    if text is None:
+        return None
+    return [convert(v) for v in text.split(",")] if text else []
+
+
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
@@ -111,9 +119,9 @@ def main(argv=None) -> int:
                 args.case, scale=args.scale, master_seed=args.seed,
                 threads="auto" if args.threads is None else args.threads,
                 reps=args.reps,
-                schemes=args.schemes.split(",") if args.schemes else None,
-                ratios=args.ratios.split(",") if args.ratios else None,
-                n_grid=[int(v) for v in args.n_grid.split(",")] if args.n_grid else None,
+                schemes=_comma_list(args.schemes),
+                ratios=_comma_list(args.ratios),
+                n_grid=_comma_list(args.n_grid, int),
             )
             return _finish_table(table, args.out)
 

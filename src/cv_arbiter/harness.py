@@ -84,6 +84,8 @@ class ExperimentConfig:
             ids = getattr(self, name)
             if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
                 raise ConfigError(f"{name} must be a list of id strings")
+            if not ids:
+                raise ConfigError(f"{name} must not be empty")
         if not _is_int(self.reps) or self.reps < 1:
             raise ConfigError("reps must be an integer >= 1")
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
@@ -349,7 +351,8 @@ def reproduce_case(
     ``scale='full'`` uses sizes 100..1600 with 200 replications;
     ``scale='desk'`` trims to {100, 400, 1600} and 100 replications.
     ``ratios``/``schemes``/``n_grid``/``reps`` restrict the grid further
-    (restrictions do not change any replication's stream).
+    (restrictions do not change any replication's stream); only None
+    means the default, so an empty list or 0 reps raises ConfigError.
     """
     case_key = f"case{case_id}" if str(case_id) in {"1", "2", "3"} else str(case_id)
     if case_key not in ("case1", "case2", "case3"):
@@ -360,10 +363,12 @@ def reproduce_case(
     config = ExperimentConfig(
         cases=[case_key],
         procedures=list(STUDY_PROCEDURES),
-        schemes=list(schemes or STUDY_SCHEMES),
-        schedules=list(ratios or default_ratios),
-        n_grid=list(n_grid or (STUDY_N_DESK if scale == "desk" else STUDY_N_FULL)),
-        reps=reps or (100 if scale == "desk" else 200),
+        schemes=list(STUDY_SCHEMES if schemes is None else schemes),
+        schedules=list(default_ratios if ratios is None else ratios),
+        n_grid=list(
+            (STUDY_N_DESK if scale == "desk" else STUDY_N_FULL) if n_grid is None else n_grid
+        ),
+        reps=(100 if scale == "desk" else 200) if reps is None else reps,
         master_seed=master_seed,
         threads=threads,
     )

@@ -1,10 +1,11 @@
 """Shared test oracles."""
 
 import numpy as np
+from scipy.interpolate import BSpline
 
 from cv_arbiter import rng
 from cv_arbiter.errors import AllProceduresFailed, CvArbiterError
-from cv_arbiter.estimators import fit_procedure
+from cv_arbiter.estimators import MAX_INTERIOR_SITES, fit_procedure
 from cv_arbiter.scenarios import Sample
 from cv_arbiter.selection import cv_criterion
 
@@ -37,6 +38,45 @@ def dense_hat_trace(basis_dense, penalty, lam):
     gram = basis_dense.T @ basis_dense
     m = gram + np.longdouble(lam) * (penalty.T @ penalty)
     return float(np.trace(solve_longdouble(m, gram)))
+
+
+def reference_spline_design(x):
+    """Reference for ``estimators._spline_design``'s knots and basis on
+    sorted x, through the public library calls: interior knots from
+    ``np.quantile`` + ``np.unique`` of ``np.unique(x)``, the dense basis
+    from ``BSpline.design_matrix(...).toarray()``.  Returns (t, B).
+    """
+    xd = np.unique(x)
+    n_sites = min(len(xd) - 2, MAX_INTERIOR_SITES)
+    m = n_sites - 2
+    a, b = xd[0], xd[-1]
+    if m > 0:
+        interior = np.quantile(xd, np.arange(1, m + 1) / (m + 1))
+        interior = np.unique(interior[(interior > a) & (interior < b)])
+    else:
+        interior = np.empty(0)
+    t = np.concatenate([[a] * 4, interior, [b] * 4])
+    return t, BSpline.design_matrix(x, t, 3).toarray()
+
+
+def reference_spline_curve(t, c):
+    """Reference for ``estimators._spline_curve``: the same spline, linear
+    beyond the knot range, from four scalar end-point evaluations."""
+    spl = BSpline.construct_fast(t, c, 3)
+    a, b = t[3], t[-4]
+
+    def raw(xv):
+        below, above = xv < a, xv > b
+        if not (below.any() or above.any()):
+            return spl(xv)
+        der = spl.derivative()
+        fa, fb = float(spl(a)), float(spl(b))
+        da, db = float(der(a)), float(der(b))
+        out = spl(np.clip(xv, a, b))
+        out = np.where(below, fa + da * (xv - a), out)
+        return np.where(above, fb + db * (xv - b), out)
+
+    return raw
 
 
 def _epanechnikov(u):

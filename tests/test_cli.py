@@ -282,6 +282,27 @@ def test_reproduce_rejects_zero_threads(capsys):
     assert "threads must be a positive integer" in out.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--reps", "0", "reps must be an integer >= 1"),
+        ("--schemes", "", "schemes must not be empty"),
+        ("--ratios", "", "schedules must not be empty"),
+        ("--n-grid", "", "n_grid must be a nonempty list"),
+    ],
+)
+def test_reproduce_rejects_zero_or_empty_restrictions(capsys, flag, value, message):
+    # none of these may fall back to the scale's default grid
+    args = {"--schemes": "single", "--ratios": "ratio:5:5", "--reps": "1", "--n-grid": "40"}
+    args[flag] = value
+    rc = main(["reproduce", "--case", "1", "--threads", "1",
+               *(part for item in args.items() for part in item)])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "cv_arbiter.cli", "--help"], capture_output=True, text=True

@@ -3,9 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import dense_loclin_batch, solve_longdouble
-from hypothesis import given, settings
+from helpers import (
+    dense_loclin_batch,
+    reference_spline_curve,
+    reference_spline_design,
+    solve_longdouble,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from cv_arbiter import estimators, rng
 from cv_arbiter.errors import (
@@ -17,7 +23,9 @@ from cv_arbiter.errors import (
 from cv_arbiter.estimators import (
     PROCEDURES,
     ProcedureSpec,
+    _bspline_rows,
     _loclin_batch,
+    _spline_curve,
     _spline_design,
     fit_local_linear,
     fit_mean_model,
@@ -180,8 +188,8 @@ def test_gcv_trace_matches_dense_hat_oracle():
     x = np.sort(rng.uniforms(g, 25))
     y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 25)
     s = Sample(x=x, y=y)
-    t, B, D = _spline_design(np.sort(x))
-    Bd = B.astype(np.longdouble).toarray()
+    t, By, D = _spline_design(np.sort(x), y)
+    Bd = By[:, :-1].astype(np.longdouble)
     gram = Bd.T @ Bd
     pen = D.astype(np.longdouble).T @ D.astype(np.longdouble)
     gram_scale = float(np.linalg.norm(gram.astype(float)))
@@ -203,8 +211,8 @@ def test_gcv_value_matches_dense_hat_oracle():
     g = rng.stream("hat-oracle")
     x = np.sort(rng.uniforms(g, 25))
     y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 25)
-    t, B, D = _spline_design(x)
-    Bd = B.astype(np.longdouble).toarray()
+    t, By, D = _spline_design(x, y)
+    Bd = By[:, :-1].astype(np.longdouble)
     yl = y.astype(np.longdouble)
     gram = Bd.T @ Bd
     pen = D.astype(np.longdouble).T @ D.astype(np.longdouble)
@@ -242,8 +250,90 @@ def _penalty_loop(t):
 @pytest.mark.parametrize("n", [10, 25, 90, 400])
 def test_penalty_is_bit_identical_to_row_loop(n):
     x = np.sort(rng.uniforms(rng.stream("penalty", n), n))
-    t, _, D = _spline_design(x)
+    t, _, D = _spline_design(x, x)
     assert np.array_equal(D, _penalty_loop(t))
+
+
+def _tied_sorted_x(seed, n, levels, step, base):
+    """n sorted points on ``levels`` equally spaced sites, ties likely."""
+    g = np.random.default_rng(seed)
+    return base + step * np.sort(g.integers(0, levels, n)).astype(float)
+
+
+_TIED_X = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 2000),
+    levels=st.integers(2, 5000),
+    # 2**-52 on base 1 puts the sites on adjacent floats
+    step=st.sampled_from([2.0**-52, 1e-9, 1 / 7, 0.01, 1.0, 3e5]),
+    base=st.sampled_from([0.0, 1.0, -3.7, 1e8]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**_TIED_X)
+def test_spline_design_matches_public_calls(seed, n, levels, step, base):
+    x = _tied_sorted_x(seed, n, levels, step, base)
+    y = np.random.default_rng(seed).normal(size=n)
+    if len(np.unique(x)) < 4:
+        with pytest.raises(RankDeficient):
+            _spline_design(x, y)
+        return
+    # knots on adjacent floats can share a Greville abscissa, where the
+    # penalty divides by zero; only the knots and basis are compared here
+    with np.errstate(divide="ignore"):
+        t, By, _ = _spline_design(x, y)
+    t_ref, B_ref = reference_spline_design(x)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(By[:, :-1], B_ref)
+    assert np.array_equal(By[:, -1], y)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**_TIED_X, where=st.sampled_from(["inside", "below", "above", "around"]))
+def test_spline_curve_matches_scalar_end_calls(seed, n, levels, step, base, where):
+    x = _tied_sorted_x(seed, n, levels, step, base)
+    assume(len(np.unique(x)) >= 4)
+    with np.errstate(divide="ignore"):
+        t, By, _ = _spline_design(x, x)
+    g = np.random.default_rng(seed)
+    c = g.normal(size=By.shape[1] - 1)
+    a, b = t[3], t[-4]
+    width = b - a
+    lo, hi = {
+        "inside": (a, b), "below": (a - width, a), "above": (b, b + width),
+        "around": (a - width, b + width),
+    }[where]
+    xv = np.concatenate([g.uniform(lo, hi, 50), [lo, hi, a, b]])
+    assert np.array_equal(_spline_curve(t, c)(xv), reference_spline_curve(t, c)(xv))
+
+
+@pytest.mark.parametrize("spacing", ["random", "adjacent-floats"])
+def test_spline_knots_match_np_quantile_at_every_site_count(spacing):
+    for count in range(4, 120):
+        if spacing == "random":
+            xd = np.sort(rng.uniforms(rng.stream("knots", count), count))
+        else:
+            xd = 2.0 - 2.0**-52 * np.arange(count, 0, -1)  # ends next to a power of 2
+        t_ref, _ = reference_spline_design(xd)
+        assert np.array_equal(estimators._spline_knots(xd), t_ref)
+
+
+def test_bspline_rows_kernel_agrees_with_public_design_matrix():
+    # estimators builds the dense basis from the kernel behind
+    # BSpline.design_matrix; a library upgrade that changes either one
+    # must fail here, not move the golden digests
+    for n, seed in ((10, 0), (90, 1), (1440, 2)):
+        x = _tied_sorted_x(seed, n, n // 2, 0.01, 0.0)
+        t, _ = reference_spline_design(x)
+        values, offsets, _ = _bspline_rows(x, t, 3, np.ones_like(x), False)
+        public = BSpline.design_matrix(x, t, 3)
+        assert np.array_equal(values, public.data.reshape(n, 4)), (
+            "scipy's B-spline kernel values differ from BSpline.design_matrix"
+        )
+        assert np.array_equal(offsets, public.indices.reshape(n, 4)[:, 0]), (
+            "scipy's B-spline kernel offsets differ from BSpline.design_matrix"
+        )
 
 
 def test_spline_sample_too_small():

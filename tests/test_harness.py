@@ -51,6 +51,8 @@ def test_config_validation_errors():
         _small_config(cases=["case7"]).validate()
     with pytest.raises(ConfigError):
         _small_config(schemes=["jackknife"]).validate()
+    with pytest.raises(ConfigError, match="schemes must not be empty"):
+        _small_config(schemes=[]).validate()
     with pytest.raises(ConfigError):
         _small_config(reps=0).validate()
     with pytest.raises(ConfigError):
