@@ -26,6 +26,10 @@ from .plots import emit_plot
 from .scenarios import resolve_scenario
 
 
+THREADS_HELP = ("worker processes for the replications (forked; one runs them inline); "
+                "default: the config's value, else one per usable core")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cv-arbiter",
@@ -36,14 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", default=None, help="output path prefix (.csv/.json)")
 
     p = sub.add_parser("reproduce", help="run the benchmark study grid for one case")
     p.add_argument("--case", required=True, choices=["1", "2", "3"])
     p.add_argument("--scale", default="desk", choices=["desk", "full"])
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=None, help="override the scale's replication count")
     p.add_argument("--schemes", default=None, help="comma list restricting the schemes")

@@ -203,14 +203,12 @@ def _spline_knots(xd: np.ndarray) -> np.ndarray:
 
 
 def _spline_design(x: np.ndarray, y: np.ndarray):
-    """Knots, dense augmented design [B, y] and penalty D for the
-    penalized spline on sorted x.
+    """Knots and dense augmented design [B, y] for the penalized spline
+    on sorted x.
 
     B is the cubic B-spline basis on ``_spline_knots`` of the distinct x
     values, written straight into the array the QR takes, with y as its
-    last column.  The penalty D takes second-order divided differences
-    of the coefficients at the basis' Greville abscissae, so its null
-    space is exactly the linear functions of x.
+    last column.
     """
     xd = _distinct(x)
     if len(xd) < 4:
@@ -223,15 +221,29 @@ def _spline_design(x: np.ndarray, y: np.ndarray):
     # row j's 4 nonzero values start at column offsets[j]
     By.ravel()[(np.arange(n) * (k + 1) + offsets)[:, None] + np.arange(4)] = values
     By[:, k] = y
+    return t, By
 
+
+def _spline_penalty(t: np.ndarray) -> np.ndarray:
+    """Penalty D on the coefficients of the cubic basis on knots ``t``.
+
+    D takes second-order divided differences of the coefficients at the
+    basis' Greville abscissae, so its null space is exactly the linear
+    functions of x.  Knots a few ulps apart can round two abscissae onto
+    one float; that raises RankDeficient, as no divided difference spans
+    a zero gap.
+    """
+    k = len(t) - 4
     g = (t[1:-3] + t[2:-2] + t[3:-1]) / 3.0  # Greville abscissae
     h1, h2, span = g[1:-1] - g[:-2], g[2:] - g[1:-1], g[2:] - g[:-2]
+    if not (np.all(h1 > 0) and np.all(h2 > 0)):
+        raise RankDeficient("spline knots are too close: two Greville abscissae coincide")
     rows = np.arange(k - 2)
     D = np.zeros((k - 2, k))
     D[rows, rows] = 2.0 / (h1 * span)
     D[rows, rows + 1] = -2.0 / (h1 * h2)
     D[rows, rows + 2] = 2.0 / (h2 * span)
-    return t, By, D
+    return D
 
 
 def _spline_system(x: np.ndarray, y: np.ndarray):
@@ -247,7 +259,8 @@ def _spline_system(x: np.ndarray, y: np.ndarray):
     then makes each grid lambda a diagonal rescale, which stays
     numerically exact even at the stiff top of the grid.
     """
-    t, By, D = _spline_design(x, y)
+    t, By = _spline_design(x, y)
+    D = _spline_penalty(t)
     k = len(t) - 4
     Ra = np.linalg.qr(By, mode="r")
     R = Ra[:k, :k]

@@ -3,9 +3,16 @@ seeded parallel replications, and selection-frequency tables.
 
 Every replication's streams are keyed by
 (master_seed, case, n, schedule, scheme, rep), so results are
-independent of execution order and thread count; tables serialize to
+independent of execution order and worker count; tables serialize to
 CSV (one row per cell and procedure) and to a JSON mirror carrying
 per-replication winners for audit.
+
+Replications run on forked worker processes: the fits are small LAPACK
+calls that hold the GIL, so threads would share one core.  The workers
+inherit the scenarios, the parsed procedures and the master seed
+through fork, so nothing but each task's plain values is pickled, and a
+scenario with a lambda, or one registered at run time, works at any
+worker count.  They also inherit the parent's one-thread OpenBLAS pin.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -105,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.threads != "auto" and (not _is_int(self.threads) or self.threads < 1):
             raise ConfigError("threads must be a positive integer or 'auto'")
+        if not _is_int(self.master_seed):
+            raise ConfigError("master_seed must be an integer")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError("output must be a path prefix string or null")
 
@@ -241,12 +251,16 @@ class FrequencyTable:
         return csv_path, json_path
 
 
-def _one_replication(args) -> tuple[int, int, int, dict[str, int] | None, str | None]:
-    """Run one seeded replication; returns (cell_idx, rep, winner, dq, error)."""
-    (cell_idx, rep, case_id, scenario, procs, n, schedule, scheme, master_seed) = args
+def _one_replication(task, grid) -> tuple[int, int, int, dict[str, int] | None, str | None]:
+    """Run one seeded replication; returns (cell_idx, rep, winner, dq, error).
+
+    ``grid`` is (scenarios by case id, parsed procedures, master seed).
+    """
+    cell_idx, rep, case_id, n, schedule, scheme = task
+    scenarios, procs, master_seed = grid
     key = (master_seed, case_id, n, schedule.id, scheme.id, rep)
     try:
-        sample = gen_sample(scenario, n, rng.stream(*key, "sample"))
+        sample = gen_sample(scenarios[case_id], n, rng.stream(*key, "sample"))
         outcome = run_selection(procs, sample, schedule, scheme, rng.stream(*key, "splits"))
         dq = {procs[j].id: 1 for j in outcome.disqualified}
         return cell_idx, rep, outcome.selected, dq, None
@@ -254,15 +268,47 @@ def _one_replication(args) -> tuple[int, int, int, dict[str, int] | None, str | 
         return cell_idx, rep, -1, None, f"{type(exc).__name__}: {exc}"
 
 
+_worker_grid: tuple | None = None  # set in each forked pool worker, never in the parent
+
+
+def _init_worker(grid: tuple) -> None:
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _pooled_replication(task):
+    return _one_replication(task, _worker_grid)
+
+
+def _run_replications(tasks: list, grid: tuple, workers: int) -> list:
+    """Every task's result, in task order, on ``min(workers, len(tasks))``
+    forked processes, or inline when that is 1 or fork is unavailable.
+
+    The workers receive ``grid`` through fork, unpickled.  The pool is
+    shut down, and its workers joined, before this returns or raises.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_one_replication(task, grid) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(grid,),
+    ) as pool:
+        return list(pool.map(_pooled_replication, tasks))
+
+
 def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
-    """Run the full grid; deterministic given master_seed for any thread count.
+    """Run the full grid; deterministic given master_seed for any worker count.
 
     ``exclude(case_id, schedule_id, n) -> reason or None`` marks cells
     excluded instead of running them.  A cell the scheme cannot split
     (k-fold r > n, or an exhaustive plan above EXHAUSTIVE_CAP splits) is
     excluded with an error.  Per-replication failures
     are recorded in the cell (winner -1, error note) and never abort
-    sibling cells.
+    sibling cells.  Any other exception in a replication propagates,
+    after the worker processes have exited.
     """
     config.validate()
     procs = [ProcedureSpec.parse(p) for p in config.procedures]
@@ -292,15 +338,12 @@ def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:
                     if reason:
                         continue
                     for rep in range(config.reps):
-                        tasks.append(
-                            (cell_idx, rep, case_id, scenarios[case_id], procs,
-                             n, schedule, scheme, config.master_seed)
-                        )
+                        tasks.append((cell_idx, rep, case_id, n, schedule, scheme))
                     cell.winners = [-1] * config.reps
 
     workers = usable_cores() if config.threads == "auto" else config.threads
-    with single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_one_replication, tasks))
+    with single_threaded():  # forked workers inherit the pin
+        results = _run_replications(tasks, (scenarios, procs, config.master_seed), workers)
 
     # Assemble by (cell, rep) index: output independent of scheduling.
     for cell_idx, rep, winner, dq, err in results:

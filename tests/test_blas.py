@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -66,12 +68,22 @@ def test_single_threaded_on_the_loaded_openblas(real_libs):
     assert [get() for get, _ in real_libs] == [2] * len(real_libs)
 
 
-def test_run_experiment_restores_blas_threads(real_libs):
+def test_run_experiment_restores_blas_threads(real_libs, monkeypatch):
     config = ExperimentConfig(
         cases=["case1"], procedures=["poly:1", "spline"], schemes=["single"],
-        schedules=["ratio:5:5"], n_grid=[40], reps=2, master_seed=3, threads=2,
+        schedules=["ratio:5:5"], n_grid=[40, 41], reps=1, master_seed=3, threads=2,
     )
     run_experiment(config)
+    assert [get() for get, _ in real_libs] == [2] * len(real_libs)
+
+    def report(*args):  # a replication's error note carries its process and BLAS threads
+        raise ValueError(f"{os.getpid()} {[get() for get, _ in blas._openblas_libs()]}")
+
+    monkeypatch.setattr("cv_arbiter.harness.run_selection", report)
+    rows = run_experiment(config).rows
+    ones = str([1] * len(real_libs))
+    assert [r.error.split(" ", 2)[2] for r in rows] == [ones] * len(rows)
+    assert all(int(r.error.split(" ")[1]) != os.getpid() for r in rows)
     assert [get() for get, _ in real_libs] == [2] * len(real_libs)
 
 

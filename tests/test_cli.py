@@ -38,6 +38,20 @@ def test_select_subcommand(tmp_path, capsys):
     assert report["votes"]["poly:1"] == 10
 
 
+def test_select_disqualifies_spline_on_adjacent_float_knots(tmp_path, capsys):
+    x, y = 1 + 2.0**-52 * np.arange(60), np.sin(np.arange(60.0))
+    path = tmp_path / "ulps.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    rc = main([
+        "select", "--data", str(path), "--procs", "mean,spline",
+        "--scheme", "rlt:5", "--schedule", "ratio:5:5", "--seed", "0",
+    ])
+    assert rc == 0
+    report = json.loads(_capture(capsys))
+    assert report["winner"] == "mean"
+    assert report["disqualified"]["spline"].startswith("RankDeficient")
+
+
 def test_select_missing_file_is_config_error(tmp_path):
     rc = main([
         "select", "--data", str(tmp_path / "nope.csv"), "--procs", "poly:1",
@@ -115,6 +129,9 @@ def _simulate_config(tmp_path, **overrides):
         ({"threads": True}, "threads must be a positive integer"),
         ({"cases": [1]}, "cases must be a list of id strings"),
         ({"output": 5}, "output must be a path prefix string"),
+        ({"master_seed": "x"}, "master_seed must be an integer"),
+        ({"master_seed": [1, 2]}, "master_seed must be an integer"),
+        ({"master_seed": True}, "master_seed must be an integer"),
     ],
 )
 def test_simulate_rejects_mistyped_config(tmp_path, capsys, overrides, message):

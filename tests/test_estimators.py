@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cv_arbiter.estimators import (
     _loclin_batch,
     _spline_curve,
     _spline_design,
+    _spline_penalty,
     fit_local_linear,
     fit_mean_model,
     fit_polynomial,
@@ -148,6 +150,15 @@ def test_spline_reproduces_line_at_every_grid_lambda():
         assert np.max(np.abs(m.predict(xx) - (0.7 + 1.3 * xx))) <= 1e-6
 
 
+def test_spline_on_adjacent_float_knots_is_rank_deficient_without_warnings():
+    # knots a few ulps apart round two Greville abscissae onto one float
+    sample = Sample(x=1 + 2.0**-52 * np.arange(60), y=np.sin(np.arange(60.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient, match="Greville"):
+            fit_smoothing_spline(sample)
+
+
 def test_spline_top_lambda_matches_linear_fit():
     s = _noisy_sine(50, seed=2)
     top = gcv_profile(s)[-1].lam
@@ -188,7 +199,8 @@ def test_gcv_trace_matches_dense_hat_oracle():
     x = np.sort(rng.uniforms(g, 25))
     y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 25)
     s = Sample(x=x, y=y)
-    t, By, D = _spline_design(np.sort(x), y)
+    t, By = _spline_design(np.sort(x), y)
+    D = _spline_penalty(t)
     Bd = By[:, :-1].astype(np.longdouble)
     gram = Bd.T @ Bd
     pen = D.astype(np.longdouble).T @ D.astype(np.longdouble)
@@ -211,7 +223,8 @@ def test_gcv_value_matches_dense_hat_oracle():
     g = rng.stream("hat-oracle")
     x = np.sort(rng.uniforms(g, 25))
     y = np.sin(2 * np.pi * x) + 0.3 * rng.normals(g, 25)
-    t, By, D = _spline_design(x, y)
+    t, By = _spline_design(x, y)
+    D = _spline_penalty(t)
     Bd = By[:, :-1].astype(np.longdouble)
     yl = y.astype(np.longdouble)
     gram = Bd.T @ Bd
@@ -250,8 +263,8 @@ def _penalty_loop(t):
 @pytest.mark.parametrize("n", [10, 25, 90, 400])
 def test_penalty_is_bit_identical_to_row_loop(n):
     x = np.sort(rng.uniforms(rng.stream("penalty", n), n))
-    t, _, D = _spline_design(x, x)
-    assert np.array_equal(D, _penalty_loop(t))
+    t, _ = _spline_design(x, x)
+    assert np.array_equal(_spline_penalty(t), _penalty_loop(t))
 
 
 def _tied_sorted_x(seed, n, levels, step, base):
@@ -279,10 +292,7 @@ def test_spline_design_matches_public_calls(seed, n, levels, step, base):
         with pytest.raises(RankDeficient):
             _spline_design(x, y)
         return
-    # knots on adjacent floats can share a Greville abscissa, where the
-    # penalty divides by zero; only the knots and basis are compared here
-    with np.errstate(divide="ignore"):
-        t, By, _ = _spline_design(x, y)
+    t, By = _spline_design(x, y)
     t_ref, B_ref = reference_spline_design(x)
     assert np.array_equal(t, t_ref)
     assert np.array_equal(By[:, :-1], B_ref)
@@ -294,8 +304,7 @@ def test_spline_design_matches_public_calls(seed, n, levels, step, base):
 def test_spline_curve_matches_scalar_end_calls(seed, n, levels, step, base, where):
     x = _tied_sorted_x(seed, n, levels, step, base)
     assume(len(np.unique(x)) >= 4)
-    with np.errstate(divide="ignore"):
-        t, By, _ = _spline_design(x, x)
+    t, By = _spline_design(x, x)
     g = np.random.default_rng(seed)
     c = g.normal(size=By.shape[1] - 1)
     a, b = t[3], t[-4]

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from cv_arbiter.harness import (
     study_exclusion,
 )
 from cv_arbiter import scenarios
-from cv_arbiter.scenarios import register_scenario, resolve_scenario
+from cv_arbiter.scenarios import Scenario, register_scenario, resolve_scenario
 
 
 def _small_config(**overrides):
@@ -110,6 +111,25 @@ def test_threads_do_not_change_output_bytes():
         threads=8,
     )
     assert run_experiment(config1).to_csv() == run_experiment(config8).to_csv()
+
+
+def test_lambda_scenario_registered_at_run_time_runs_on_workers(scenario_table):
+    # the workers inherit the scenario table through fork: nothing is pickled
+    register_scenario("sine", Scenario(lambda x: np.sin(2 * np.pi * x), sigma=0.3, best="spline"))
+    config = _small_config(cases=["sine"], procedures=["poly:1", "spline"], reps=4)
+    one = run_experiment(config).to_csv()
+    assert run_experiment(replace(config, threads=2)).to_csv() == one
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_propagates_and_no_worker_outlives_the_run(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr("cv_arbiter.harness.run_selection", broken)
+    with pytest.raises(RuntimeError, match="not a package error"):
+        run_experiment(_small_config(threads=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_replication_streams_do_not_depend_on_grid_shape():
