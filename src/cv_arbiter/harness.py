@@ -20,10 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -286,17 +284,22 @@ def _run_replications(tasks: list, grid: tuple, workers: int) -> list:
 
     The workers receive ``grid`` through fork, unpickled.  The pool is
     shut down, and its workers joined, before this returns or raises.
+    The pool modules are imported only here, so a run that never starts
+    a pool never loads them.
     """
     workers = min(workers, len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_one_replication(task, grid) for task in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(grid,),
-    ) as pool:
-        return list(pool.map(_pooled_replication, tasks))
+    if workers >= 2:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(grid,),
+            ) as pool:
+                return list(pool.map(_pooled_replication, tasks))
+    return [_one_replication(task, grid) for task in tasks]
 
 
 def run_experiment(config: ExperimentConfig, exclude=None) -> FrequencyTable:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from . import rng
 from .blas import usable_cores
@@ -148,12 +148,16 @@ def selection_prob(
 ) -> float:
     """Monte Carlo frequency of the mean model being selected.
 
-    Draws eps ~ N(0, sigma^2)^n and counts normalized_cv_diff > 0;
-    O(n * reps) via the closed form.  The rows are scored in chunks of
-    about CHUNK_DRAWS draws on ``workers`` threads (default: every
-    usable core).  Each chunk reads its own copy of ``stream`` moved to
-    its first draw, so the result is the sequential draw's, bit for bit,
-    for any thread count, and ``stream`` is left where that draw ends.
+    Draws eps = sigma * z, z ~ N(0, 1)^n, and counts normalized_cv_diff
+    > 0; O(n * reps) via the closed form.  That difference is homogeneous
+    of degree 2 in (mu, eps), so it is scored on z with theta = mu / sigma
+    and no sigma over- or underflows the squares; sigma = 0 is answered
+    exactly (mu != 0), and a non-finite margin raises OverflowRisk.  The
+    rows are scored in chunks of about CHUNK_DRAWS draws on ``workers``
+    threads (default: every usable core).  Each chunk reads its own copy
+    of ``stream`` moved to its first draw, so the result is the
+    sequential draw's, bit for bit, for any thread count, and ``stream``
+    is left where that draw ends.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -164,18 +168,25 @@ def selection_prob(
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     rows = max(1, CHUNK_DRAWS // n)
-    mu_term = n1 * (n - 1) * n * mu * mu
+    theta = mu / sigma if sigma else 0.0
+    mu_term = n1 * (n - 1) * n * theta * theta
 
     def hits(start: int) -> int:
         c = min(rows, reps - start)
-        eps = sigma * rng.normals(rng.seek(stream, start * n), (c, n))
-        s = eps.sum(axis=1)
-        u = np.einsum("ij,ij->i", eps, eps)
-        d = mu_term + n1 * (n - 1) * 2 * mu * s + (n1 + 1) * s * s - (n1 + n) * u
+        z = rng.normals(rng.seek(stream, start * n), (c, n))
+        s = z.sum(axis=1)
+        u = np.einsum("ij,ij->i", z, z)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            d = mu_term + n1 * (n - 1) * 2 * theta * s + (n1 + 1) * s * s - (n1 + n) * u
+        if not np.isfinite(d).all():
+            raise OverflowRisk(f"selection margin overflows at mu / sigma = {theta:g}")
         return int(np.count_nonzero(d > 0))
 
-    with ThreadPoolExecutor(max_workers=workers or usable_cores()) as pool:
-        total = sum(pool.map(hits, range(0, reps, rows)))
+    if sigma:
+        with ThreadPoolExecutor(max_workers=workers or usable_cores()) as pool:
+            total = sum(pool.map(hits, range(0, reps, rows)))
+    else:
+        total = reps if mu else 0
     stream.bit_generator.state = rng.seek(stream, reps * n).bit_generator.state
     return total / reps
 
@@ -189,7 +200,7 @@ def f_reference_prob(n: int, n1: int) -> float:
     """
     if n < 2 or not 1 <= n1 <= n - 1:
         raise ValueError(f"need n >= 2 and n1 in [1, n-1]; got n={n}, n1={n1}")
-    return float(stats.f.sf((n + n1) / n1, 1, n - 1))
+    return float(fdtrc(1, n - 1, (n + n1) / n1))
 
 
 def enumeration_check(

@@ -135,7 +135,8 @@ def dense_loclin_batch(xt, yt, h, queries, drop_self=False):
 
 def sequential_selection_prob(n, n1, mu, sigma, reps, stream):
     """Reference for ``nested_mean.selection_prob``: the whole draw read
-    from ``stream`` in order, in chunks of 4e6 draws, on one thread."""
+    from ``stream`` in order, in chunks of 4e6 draws, on one thread, and
+    scored on the standardized draws z with theta = mu / sigma."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if not 1 <= n1 <= n - 1:
@@ -143,15 +144,18 @@ def sequential_selection_prob(n, n1, mu, sigma, reps, stream):
     hits = 0
     done = 0
     chunk_rows = max(1, int(4_000_000 // max(n, 1)))
-    mu_term = n1 * (n - 1) * n * mu * mu
+    theta = mu / sigma if sigma else 0.0
+    mu_term = n1 * (n - 1) * n * theta * theta
     while done < reps:
         c = min(chunk_rows, reps - done)
-        eps = sigma * rng.normals(stream, (c, n))
-        s = eps.sum(axis=1)
-        u = np.einsum("ij,ij->i", eps, eps)
-        d = mu_term + n1 * (n - 1) * 2 * mu * s + (n1 + 1) * s * s - (n1 + n) * u
+        z = rng.normals(stream, (c, n))
+        s = z.sum(axis=1)
+        u = np.einsum("ij,ij->i", z, z)
+        d = mu_term + n1 * (n - 1) * 2 * theta * s + (n1 + 1) * s * s - (n1 + n) * u
         hits += int(np.count_nonzero(d > 0))
         done += c
+    if not sigma:  # no noise: the mean model wins exactly when mu != 0
+        hits = reps if mu else 0
     return hits / reps
 
 

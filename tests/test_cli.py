@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,19 @@ def test_prop1_emits_json(capsys):
     assert 0.0 <= payload["selection_prob"] <= 1.0
     assert payload["d_tilde_checks"]["signs_agree"] is True
     assert payload["d_tilde_checks"]["worst_rel_error"] <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", ["1e160", "1e-170"])
+def test_prop1_is_right_at_extreme_noise_scales(capsys, sigma):
+    # squared draws of this scale overflow or underflow; the margin is
+    # scored on the standardized draws, so the answer must not move
+    rc = main(["prop1", "--n", "100", "--n1", "50", "--reps", "20000", "--sigma", sigma])
+    assert rc == 0
+    payload = json.loads(_capture(capsys))
+    ref = payload["f_reference"]
+    se = (ref * (1 - ref) / 20000) ** 0.5
+    assert abs(payload["selection_prob"] - ref) <= 4 * se
 
 
 def test_select_subcommand(tmp_path, capsys):
@@ -247,6 +262,7 @@ def test_plot_rejects_mistyped_winners(tmp_path, capsys):
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--alpha", "nan"], "alpha must be > 0"),
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "nan"], "c must be > 0"),
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "-0.5"], "c must be > 0"),
+        (["prop1", "--mu", "1", "--sigma", "1e-200"], "selection margin overflows"),
     ],
 )
 def test_exact_side_rejects_non_finite_and_out_of_range_arguments(capsys, argv, message):
@@ -326,3 +342,15 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "prop1" in proc.stdout
+
+
+def test_cli_import_loads_no_unused_heavy_modules():
+    # scipy.stats and the process-pool modules cost start-up time and
+    # memory in every command; only a pooled run may load the pool
+    code = ("import sys, cv_arbiter.cli; print(' '.join(m for m in "
+            "('scipy.stats', 'multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cv_arbiter.errors import ConfigError, ParseError, SampleTooSmall, UnknownFunction
@@ -64,6 +64,40 @@ def test_config_validation_errors():
         _small_config(output=5).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"cases": []})
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_WELL_TYPED = {
+    **dict.fromkeys(
+        ("cases", "procedures", "schemes", "schedules"),
+        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+    ),
+    "n_grid": lambda v: isinstance(v, list) and all(_is_count(i) for i in v),
+    "reps": _is_count,
+    "master_seed": _is_count,
+    "threads": lambda v: _is_count(v) or v == "auto",
+    "output": lambda v: v is None or isinstance(v, str),
+}
+_JSON_SCALARS = st.one_of(
+    st.booleans(), st.floats(), st.just(float("nan")), st.text(max_size=6), st.none(), st.integers()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_WELL_TYPED)), _JSON_VALUES)
+def test_config_with_one_mistyped_field_raises_config_error(field, value):
+    assume(not _WELL_TYPED[field](value))
+    payload = _small_config().to_dict() | {field: value}
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(payload).validate()
 
 
 @pytest.fixture

@@ -163,6 +163,17 @@ def test_selection_prob_bit_identical_to_sequential(n, n1, mu, sigma, reps, pre,
     assert got_stream.integers(0, 10, size=3).tolist() == want_stream.integers(0, 10, size=3).tolist()
 
 
+def test_selection_prob_is_scale_free_and_exact_at_zero_noise():
+    # the margin is scored on the standardized draws, so any finite sigma
+    # with mu = sigma * theta gives the sigma = 1 answer for theta, bit for bit
+    want = selection_prob(40, 20, 0.3, 1.0, 3_000, rng.stream("sp-scale"))
+    for sigma in (1e-300, 1e-170, 0.25, 1e160, 1e300):
+        got = selection_prob(40, 20, 0.3 * sigma, sigma, 3_000, rng.stream("sp-scale"))
+        assert got == want, sigma
+    # no noise: the mean model wins exactly when mu != 0, however small
+    assert selection_prob(20, 10, 1e-200, 0.0, 100, rng.stream("sp-tiny")) == 1.0
+
+
 def test_selection_prob_argument_checks():
     with pytest.raises(ValueError, match="reps"):
         selection_prob(20, 10, 0.0, 1.0, 0, rng.stream("sp-bad"))
@@ -178,6 +189,18 @@ def test_f_reference_limits():
     assert f_reference_prob(2000, 1000) == pytest.approx(0.08326, abs=2e-3)
     # (100, 10): threshold 11
     assert f_reference_prob(100, 10) < 0.01
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 7, 10, 31, 100, 257, 1000, 4099, 10**5, 10**6, 2**31 - 1]
+)
+def test_f_reference_equals_scipy_stats_f_tail(n):
+    # fdtrc is the kernel behind stats.f.sf, so the two agree bit for bit
+    from scipy import stats
+
+    for n1 in sorted({1, 2, math.isqrt(n), n // 10, n // 2, n - 1} - {0, n}):
+        want = float(stats.f.sf((n + n1) / n1, 1, n - 1))
+        assert f_reference_prob(n, n1) == want, (n, n1)
 
 
 def test_f_reference_against_chi_square_monte_carlo():
