@@ -1,4 +1,5 @@
-"""Thread counts: the usable cores, and the bundled OpenBLAS on one thread.
+"""Process set-up: the usable cores, the bundled OpenBLAS on one thread,
+and a malloc heap kept across fits.
 
 The fits are many small dense problems (QRs of n x ~38 designs, ~37 x 37
 triangular solves).  On those, OpenBLAS threads mostly spin and
@@ -17,6 +18,19 @@ from contextlib import contextmanager
 
 _BUNDLING_PACKAGES = ("numpy", "scipy")
 _SUFFIXES = ("64_", "")
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Blocks below 4 MiB come from the heap, so every fit and draw temporary
+# (a 1440 x 38 design is 0.4 MiB, a prop1 chunk of 2^16 draws 0.5 MiB)
+# reuses freed heap memory instead of a fresh mmap.
+MMAP_THRESHOLD = 4 << 20
+# Setting the mmap threshold stops glibc raising the trim threshold with
+# it, so keep up to 64 MiB of free heap top instead of the default 128 KiB:
+# without it the heap is given back to the kernel after each fit and the
+# next one faults it in again.
+TRIM_THRESHOLD = 64 << 20
 
 
 def _openblas_libs() -> list[tuple]:
@@ -70,3 +84,22 @@ def single_threaded():
     finally:
         for (_, set_), count in zip(libs, saved):
             set_(count)
+
+
+def keep_heap() -> bool:
+    """Fix glibc malloc's mmap and trim thresholds for this process.
+
+    Left alone, glibc raises both thresholds only after a large block is
+    freed, so whether the fits' temporaries are faulted in again on every
+    fit depends on what happened to be imported.  Returns whether both
+    were set; does nothing without a ``mallopt`` (macOS) and has no
+    effect where it is a stub (musl).  Forked children and threads share
+    the setting.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))

@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import nested_mean, rng
+from .blas import keep_heap
 from .diagnostics import diagnostics_report
 from .errors import CvArbiterError
 from .harness import (
@@ -110,6 +111,7 @@ def _finish_table(table: FrequencyTable, out: str | None) -> int:
 
 
 def main(argv=None) -> int:
+    keep_heap()  # fits and draws reuse the heap instead of re-faulting it
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":

@@ -151,9 +151,12 @@ def selection_prob(
     Draws eps = sigma * z, z ~ N(0, 1)^n, and counts normalized_cv_diff
     > 0; O(n * reps) via the closed form.  That difference is homogeneous
     of degree 2 in (mu, eps), so it is scored on z with theta = mu / sigma
-    and no sigma over- or underflows the squares; sigma = 0 is answered
-    exactly (mu != 0), and a non-finite margin raises OverflowRisk.  The
-    rows are scored in chunks of about CHUNK_DRAWS draws on ``workers``
+    and no sigma over- or underflows the squares.  Two cases are answered
+    exactly, without scoring: sigma = 0 (1.0 when mu != 0, else 0.0), and
+    a mu term n1 * (n - 1) * n * theta^2 too large to be finite, where the
+    mean model wins every replication (1.0).  Both still move ``stream``
+    as the draw would.  Any other non-finite margin raises OverflowRisk.
+    The rows are scored in chunks of about CHUNK_DRAWS draws on ``workers``
     threads (default: every usable core).  Each chunk reads its own copy
     of ``stream`` moved to its first draw, so the result is the
     sequential draw's, bit for bit, for any thread count, and ``stream``
@@ -182,7 +185,7 @@ def selection_prob(
             raise OverflowRisk(f"selection margin overflows at mu / sigma = {theta:g}")
         return int(np.count_nonzero(d > 0))
 
-    if sigma:
+    if sigma and math.isfinite(mu_term):
         with ThreadPoolExecutor(max_workers=workers or usable_cores()) as pool:
             total = sum(pool.map(hits, range(0, reps, rows)))
     else:

@@ -1,4 +1,9 @@
 import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,3 +98,55 @@ def test_usable_cores_follows_affinity(monkeypatch):
     assert blas.usable_cores() == 1
     monkeypatch.delattr(blas.os, "sched_getaffinity", raising=False)
     assert blas.usable_cores() == 64
+
+
+def _fake_libc(monkeypatch, **symbols):
+    monkeypatch.setattr(blas.ctypes, "CDLL", lambda name: types.SimpleNamespace(**symbols))
+
+
+def test_keep_heap_without_mallopt_is_a_no_op(monkeypatch):
+    _fake_libc(monkeypatch)  # no mallopt symbol, as on macOS
+    assert blas.keep_heap() is False
+
+
+def test_keep_heap_sets_both_thresholds_or_reports_a_stub(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    _fake_libc(monkeypatch, mallopt=mallopt)
+    assert blas.keep_heap() is True
+    assert calls == [(-3, blas.MMAP_THRESHOLD), (-1, blas.TRIM_THRESHOLD)]
+    _fake_libc(monkeypatch, mallopt=lambda param, value: 0)  # musl's stub
+    assert blas.keep_heap() is False
+
+
+KEEP_HEAP_BODY = """
+import resource, sys
+import numpy as np
+from cv_arbiter import blas, harness
+assert blas.keep_heap()
+path = sys.argv[1]
+gen = np.random.default_rng(7)
+x = gen.random(2000)
+y = 1 + x - np.exp(-200 * (x - 0.25) ** 2) + 0.3 * gen.standard_normal(2000)
+np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness.select_from_csv(path, ["poly:1", "poly:2", "spline", "loclin:auto"],
+                            "kfold-a:5", "ratio:5:5", 0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_keep_heap_stops_refaulting_the_fit_temporaries(tmp_path):
+    # a second select on an n = 2000 case3 CSV reuses the first one's heap:
+    # ~30 minor faults with the thresholds set, ~38,000 (150 MB) without
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", KEEP_HEAP_BODY, str(tmp_path / "case3.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000

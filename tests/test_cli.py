@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv_arbiter import diagnostics
 from cv_arbiter.cli import main
+from cv_arbiter.estimators import PROCEDURES
+from cv_arbiter.scenarios import _SCENARIOS
+from cv_arbiter.splits import SCHEDULES, SCHEMES
 
 
 def _capture(capsys):
@@ -262,7 +269,6 @@ def test_plot_rejects_mistyped_winners(tmp_path, capsys):
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--alpha", "nan"], "alpha must be > 0"),
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "nan"], "c must be > 0"),
         (["diagnose", "--proc", "poly:1", "--proc", "mean", "--c", "-0.5"], "c must be > 0"),
-        (["prop1", "--mu", "1", "--sigma", "1e-200"], "selection margin overflows"),
     ],
 )
 def test_exact_side_rejects_non_finite_and_out_of_range_arguments(capsys, argv, message):
@@ -274,6 +280,14 @@ def test_exact_side_rejects_non_finite_and_out_of_range_arguments(capsys, argv, 
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+def test_prop1_answers_an_overflowing_mu_term_exactly(capsys):
+    # mu / sigma = 1e200: the mean model wins every replication
+    rc = main(["prop1", "--mu", "1", "--sigma", "1e-200", "--n", "20", "--n1", "10",
+               "--reps", "100"])
+    assert rc == 0
+    assert json.loads(_capture(capsys))["selection_prob"] == 1.0
 
 
 @pytest.mark.parametrize("flag", ["--c", "--alpha"])
@@ -354,3 +368,198 @@ def test_cli_import_loads_no_unused_heavy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# --- argv property: any argv exits 0, 2 or 3, never with a traceback -------
+
+PROC_IDS = ["poly:1", "poly:2", "zero", "mean", "spline", "loclin:auto", "loclin:0.3"]
+SCHEME_IDS = ["single", "rlt:3", "rsv:2", "kfold-a:2", "kfold-v:3", "exhaustive-a", "exhaustive-v"]
+SCHEDULE_IDS = ["ratio:5:5", "ratio:9:1", "est-dom", "eval-dom", "n1:4"]
+CASE_IDS = ["case1", "case2", "case3"]
+# grids stay below 10 points, so even an exhaustive plan has at most C(9, 4)
+# splits; select reads 20 rows, its fewest, and draws no exhaustive plan
+SIZES = ["2", "5", "9"]
+RANDOM_SCHEME_IDS = [i for i in SCHEME_IDS if not i.startswith("exhaustive")]
+# diagnose predicts at 100,000 points per probe, too slow for the local linear fit
+QUICK_PROC_IDS = [i for i in PROC_IDS if not i.startswith("loclin")]
+TABLE = {
+    "procedures": ["poly:1", "mean"], "master_seed": 1,
+    "rows": [{"case": "case1", "n": 20, "n1": 10, "n2": 10, "schedule": "ratio:5:5",
+              "scheme": "single", "reps": 2, "winners": [0, -1], "disqualified": {"mean": 1},
+              "excluded": False, "note": "", "error": None}],
+}
+
+
+def test_argv_ids_cover_every_table_row():
+    for ids, table in ((PROC_IDS, PROCEDURES), (SCHEME_IDS, SCHEMES),
+                       (SCHEDULE_IDS, SCHEDULES), (CASE_IDS, _SCENARIOS)):
+        assert {i.split(":")[0] for i in ids} == set(table)
+
+
+def _mutated(ids):
+    valid = st.sampled_from(ids)
+    return st.one_of(
+        st.just(""),
+        st.tuples(valid, st.sampled_from([":", ":0", ":-1", ":nan", ":inf", ":1:1", "x"])).map("".join),
+        st.tuples(valid, st.integers(0, 8)).map(lambda t: t[0][:t[1]]),
+        valid.map(str.upper),
+    )
+
+
+def _comma(ids, min_size=1, max_size=2):
+    return st.lists(ids, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds).map(repr)
+
+
+BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "", "x"])
+BAD_INTS = st.sampled_from(["0", "-1", "", "x", "2.5"])
+SEEDS = st.integers(0, 2**70).map(str)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _with_one_fault(draw, valid, bad):
+    """A dict drawn from ``valid``, then half the time one entry swapped for
+    a draw from ``bad`` (a None draw drops it)."""
+    values = {key: draw(strategy) for key, strategy in valid.items()}
+    key = draw(st.sampled_from([None] * len(bad) + sorted(bad)))
+    if key is not None:
+        values[key] = draw(bad[key])
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _argv(command, valid, bad):
+    def build(values):
+        argv = [command]
+        for flag, value in values.items():
+            for v in value if isinstance(value, list) else [value]:
+                # --flag=value, so argparse reads "-1e-300" as a value, not an option
+                argv.append(f"--{flag.replace('_', '-')}" + ("" if v is True else f"={v}"))
+        return argv, None
+    return _with_one_fault(valid, bad).map(build)
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def _simulate(draw):
+    ids = {"cases": CASE_IDS, "procedures": PROC_IDS, "schemes": SCHEME_IDS, "schedules": SCHEDULE_IDS}
+    valid = {k: st.lists(st.sampled_from(v), min_size=1, max_size=2) for k, v in ids.items()}
+    valid |= {"n_grid": st.lists(st.sampled_from([2, 5, 9]), min_size=1, max_size=2),
+              "reps": st.sampled_from([1, 2]), "master_seed": st.integers(0, 2**64),
+              "threads": st.just(1)}
+    bad = {k: st.lists(_mutated(v), max_size=2) | JSON_VALUES for k, v in ids.items()}
+    bad |= {"n_grid": st.lists(st.sampled_from([0, -1, "9", 2.5, True])) | JSON_VALUES,
+            "reps": st.sampled_from([0, -1, "1", 1.5, None]),
+            "master_seed": st.sampled_from([-1.5, "x", None, True]),
+            "threads": st.sampled_from([0, -1, "1", None])}
+    config = draw(_with_one_fault(valid, bad))
+    flags = draw(st.sampled_from([[], ["--threads", "1"], ["--threads", "0"], ["--threads", "x"]]))
+    return ["simulate", "--config", "{dir}/config.json", "--out", "{dir}/table"] + flags, config
+
+
+@st.composite
+def _plot(draw):
+    table = json.loads(json.dumps(TABLE))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([table, table["rows"][0]]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(JSON_VALUES)
+    path = draw(st.sampled_from(["{dir}/table.json"] * 3 + ["{dir}/missing.json", "{dir}/data.csv"]))
+    return ["plot", "--in", path, "--out", "{dir}/plots"], table
+
+
+ARGV = st.one_of(
+    _simulate(),
+    _plot(),
+    _argv("reproduce", {
+        "case": st.sampled_from(["1", "2", "3"]),
+        "scale": _optional(st.sampled_from(["desk", "full"])),
+        "seed": _optional(SEEDS),
+        "threads": st.just("1"),
+        "reps": st.sampled_from(["1", "2"]),
+        "schemes": _comma(st.sampled_from(SCHEME_IDS)),
+        "ratios": _optional(_comma(st.sampled_from(SCHEDULE_IDS), max_size=1)),
+        "n_grid": _comma(st.sampled_from(SIZES)),
+    }, {
+        "case": st.sampled_from(["4", ""]), "scale": st.just("x"), "seed": BAD_INTS,
+        "threads": BAD_INTS, "reps": BAD_INTS, "schemes": _comma(_mutated(SCHEME_IDS), 0),
+        "ratios": _comma(_mutated(SCHEDULE_IDS), 0), "n_grid": _comma(BAD_INTS, 0),
+    }),
+    _argv("select", {
+        "data": st.just("{dir}/data.csv"),
+        "procs": _comma(st.sampled_from(PROC_IDS), max_size=3),
+        "scheme": _optional(st.sampled_from(RANDOM_SCHEME_IDS)),
+        "schedule": _optional(st.sampled_from(SCHEDULE_IDS)),
+        "seed": _optional(SEEDS),
+    }, {
+        "data": st.sampled_from(["{dir}/bad.csv", "{dir}/missing.csv", None]),
+        "procs": _comma(_mutated(PROC_IDS), 0, 3), "scheme": _mutated(SCHEME_IDS),
+        "schedule": _mutated(SCHEDULE_IDS), "seed": BAD_INTS,
+    }),
+    _argv("prop1", {
+        "n": st.sampled_from(SIZES + ["40"]), "n1": st.sampled_from(["1", "2"]),
+        "mu": _optional(_floats()), "sigma": _optional(_floats(min_value=0.0)),
+        "reps": st.sampled_from(["1", "50"]), "seed": _optional(SEEDS),
+        "verify": st.sampled_from([None, True]),
+    }, {
+        "n": BAD_INTS, "n1": BAD_INTS, "mu": BAD_NUMBERS,
+        "sigma": BAD_NUMBERS | _floats(max_value=-1e-300), "reps": BAD_INTS, "seed": BAD_INTS,
+    }),
+    _argv("diagnose", {
+        "proc": st.lists(st.sampled_from(QUICK_PROC_IDS), min_size=1, max_size=2),
+        "case": _optional(st.sampled_from(CASE_IDS)),
+        "n": st.sampled_from(["10", "30"]), "reps": st.just("50"),
+        "seed": _optional(SEEDS), "c": _optional(_floats(min_value=1e-300)),
+        "alpha": _optional(_floats(min_value=1e-300)),
+    }, {
+        "proc": st.lists(_mutated(PROC_IDS), max_size=2), "case": _mutated(CASE_IDS),
+        "n": BAD_INTS, "reps": BAD_INTS, "c": BAD_NUMBERS | _floats(max_value=0.0),
+        "alpha": BAD_NUMBERS | _floats(max_value=0.0),
+    }),
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    x = np.linspace(0, 1, 20)
+    (root / "data.csv").write_text("".join(f"{a},{np.sin(7 * a)}\n" for a in x))
+    (root / "bad.csv").write_text("0.1,0.2\n0.3\n")
+    return root
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=ARGV)
+def test_any_argv_exits_0_2_or_3_without_a_traceback(argv_dir, case):
+    argv, payload = case
+    argv = [a.format(dir=argv_dir) for a in argv]
+    name = "config.json" if argv[0] == "simulate" else "table.json"
+    if payload is not None:
+        (argv_dir / name).write_text(json.dumps(payload))
+    rc, err = _run(argv)
+    assert rc in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if argv[0] == "simulate" and rc != 2:
+        # plot reads any table simulate wrote; it refuses only one with no
+        # plottable row (every cell failed or excluded)
+        rc, err = _run(["plot", "--in", f"{argv_dir}/table.json", "--out", f"{argv_dir}/plots"])
+        assert rc == 0 or (rc == 2 and "no rows to plot" in err), err

@@ -174,6 +174,22 @@ def test_selection_prob_is_scale_free_and_exact_at_zero_noise():
     assert selection_prob(20, 10, 1e-200, 0.0, 100, rng.stream("sp-tiny")) == 1.0
 
 
+def test_selection_prob_is_exact_when_the_mu_term_overflows():
+    # n1 (n-1) n theta^2 is not finite: the mean model wins every replication,
+    # and the stream still ends where the draw would
+    for mu, sigma in ((1.0, 1e-200), (1e300, 1e-300), (-1e200, 1.0)):
+        stream = rng.stream("sp-huge")
+        assert selection_prob(20, 10, mu, sigma, 100, stream) == 1.0
+        want = rng.seek(rng.stream("sp-huge"), 100 * 20)
+        assert stream.integers(0, 1 << 53, size=3).tolist() == want.integers(0, 1 << 53, size=3).tolist()
+
+
+def test_selection_prob_still_refuses_any_other_non_finite_margin(monkeypatch):
+    monkeypatch.setattr(rng, "normals", lambda gen, shape: np.full(shape, 1e200))
+    with pytest.raises(OverflowRisk, match="margin overflows"):
+        selection_prob(20, 10, 0.0, 1.0, 100, rng.stream("sp-inf"))
+
+
 def test_selection_prob_argument_checks():
     with pytest.raises(ValueError, match="reps"):
         selection_prob(20, 10, 0.0, 1.0, 0, rng.stream("sp-bad"))
