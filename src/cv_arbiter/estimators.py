@@ -6,14 +6,12 @@ penalized cubic B-spline smoother tuned by generalized cross validation,
 and a local linear kernel smoother.
 
 Each ``PROCEDURES`` row holds the one function that builds its
-procedure's ``FittedModel`` from arrays x and y.  The polynomial, spline
-and local linear rows are ``canonical``: their fits take rows sorted by
-(x, y), so they are exactly invariant to the ordering of sample rows.
-The zero and mean fits take the sample's row order, in which the mean
-sums y.  ``fit_procedure`` and the public ``fit_*`` order a whole sample
-that way; the selection engine sorts a sample once and cuts each split's
-estimation half from it.  Every returned prediction function is total
-on [0, 1].
+procedure's ``FittedModel`` from arrays x and y.  Every fit takes rows
+sorted by (x, y) (``xy_order``), so it is exactly invariant to the
+ordering of sample rows.  ``fit_procedure`` and the public ``fit_*``
+sort a whole sample that way; the selection engine sorts a sample once
+and cuts each split's estimation half from it.  Every returned
+prediction function is total on [0, 1].
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from scipy.linalg import solve_triangular
 from .errors import (
     BandwidthTooSmall,
     DegenerateDenominator,
+    NonFinitePrediction,
     RankDeficient,
     SampleTooSmall,
 )
@@ -106,9 +105,13 @@ class GcvPoint(NamedTuple):
     dof: float
 
 
+def xy_order(sample: Sample) -> np.ndarray:
+    """The row permutation that sorts a sample by (x, y), the order every fit takes."""
+    return np.lexsort((sample.y, sample.x))
+
+
 def _canonical(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows by (x, y), the order the canonical fits take."""
-    order = np.lexsort((sample.y, sample.x))
+    order = xy_order(sample)
     return sample.x[order], sample.y[order]
 
 
@@ -136,8 +139,13 @@ def _poly_model(x: np.ndarray, y: np.ndarray, degree: int) -> FittedModel:
         raise RankDeficient(
             f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
+    # the basis' largest entry, |x|^degree at an end of x, stays below 2^1023
+    if degree and (x[0] <= -(top := 2.0 ** (1023 / degree)) or x[-1] >= top):
+        raise RankDeficient(f"degree {degree} overflows at the ends of x")
     basis = np.vander(x, degree + 1, increasing=True)
     coefs, *_ = np.linalg.lstsq(basis, y, rcond=None)  # lowest order first
+    if not sum(map(abs, coefs.tolist())) < np.inf:  # bounds |p| on [0, 1]; NaN fails too
+        raise NonFinitePrediction(f"poly:{degree} overflows on [0, 1]")
     return FittedModel(
         predict=_vectorized(lambda xv: np.polynomial.polynomial.polyval(xv, coefs)),
         trace=lambda: float(degree + 1),
@@ -153,7 +161,7 @@ def fit_polynomial(sample: Sample, degree: int) -> FittedModel:
     no explicit normal-equation inverse is ever formed.
 
     Raises RankDeficient when the sample has fewer than degree + 1
-    distinct x values.
+    distinct x values or |x|^degree overflows.
     """
     return _poly_model(*_canonical(sample), degree)
 
@@ -169,12 +177,8 @@ def _mean_model(y: np.ndarray, with_mean: bool) -> FittedModel:
 
 
 def fit_mean_model(sample: Sample, with_mean: bool) -> FittedModel:
-    """The two nested trivial fits: predict 0, or predict the sample mean.
-
-    The mean is summed in the sample's row order, so permuting the rows
-    can move it by a rounding error.
-    """
-    return _mean_model(sample.y, with_mean)
+    """The two nested trivial fits: predict 0, or predict the sample mean."""
+    return _mean_model(_canonical(sample)[1], with_mean)
 
 
 # --- penalized cubic B-spline smoother ----------------------------------------
@@ -229,20 +233,19 @@ def _spline_penalty(t: np.ndarray) -> np.ndarray:
 
     D takes second-order divided differences of the coefficients at the
     basis' Greville abscissae, so its null space is exactly the linear
-    functions of x.  Knots a few ulps apart can round two abscissae onto
-    one float; that raises RankDeficient, as no divided difference spans
-    a zero gap.
+    functions of x.  Knots a few ulps apart (two abscissae rounded onto
+    one float) or at an extreme x scale overflow some entries to inf,
+    without a warning; ``_spline_system`` then raises RankDeficient.
     """
     k = len(t) - 4
     g = (t[1:-3] + t[2:-2] + t[3:-1]) / 3.0  # Greville abscissae
     h1, h2, span = g[1:-1] - g[:-2], g[2:] - g[1:-1], g[2:] - g[:-2]
-    if not (np.all(h1 > 0) and np.all(h2 > 0)):
-        raise RankDeficient("spline knots are too close: two Greville abscissae coincide")
     rows = np.arange(k - 2)
     D = np.zeros((k - 2, k))
-    D[rows, rows] = 2.0 / (h1 * span)
-    D[rows, rows + 1] = -2.0 / (h1 * h2)
-    D[rows, rows + 2] = 2.0 / (h2 * span)
+    with np.errstate(over="ignore", divide="ignore"):
+        D[rows, rows] = 2.0 / (h1 * span)
+        D[rows, rows + 1] = -2.0 / (h1 * h2)
+        D[rows, rows + 2] = 2.0 / (h2 * span)
     return D
 
 
@@ -268,7 +271,9 @@ def _spline_system(x: np.ndarray, y: np.ndarray):
     if np.min(diag) <= 1e-10 * np.max(diag):
         raise RankDeficient("spline design matrix is numerically rank deficient")
     r = abs(Ra[k, k]) if len(y) > k else 0.0
-    E = solve_triangular(R.T, D.T, lower=True).T  # D R^{-1}
+    E = solve_triangular(R.T, D.T, lower=True, check_finite=False).T  # D R^{-1}
+    if not np.isfinite(E).all():
+        raise RankDeficient("spline knots are too close: Greville divided differences overflow")
     # Shrinkage spectrum via the SVD of E (not eigh of E'E, which would
     # square the conditioning); the penalty null space has dimension
     # exactly 2, appended as explicit zeros.
@@ -660,13 +665,12 @@ def _bandwidth(text: str) -> float | str:
 class Procedure(NamedTuple):
     parse_arg: Callable[[str], object] | None  # None: the id takes no argument
     fit: Callable[[np.ndarray, np.ndarray, object], FittedModel]  # (x, y, arg) -> model
-    canonical: bool = True  # fit takes rows sorted by (x, y), else in row order
 
 
 PROCEDURES: dict[str, Procedure] = {
     "poly": Procedure(_degree, _poly_model),
-    "zero": Procedure(None, lambda x, y, _: _mean_model(y, False), canonical=False),
-    "mean": Procedure(None, lambda x, y, _: _mean_model(y, True), canonical=False),
+    "zero": Procedure(None, lambda x, y, _: _mean_model(y, False)),
+    "mean": Procedure(None, lambda x, y, _: _mean_model(y, True)),
     "spline": Procedure(None, _spline_model),  # arg None: the default grid
     "loclin": Procedure(_bandwidth, _loclin_model),
 }
@@ -674,6 +678,4 @@ PROCEDURES: dict[str, Procedure] = {
 
 def fit_procedure(spec: ProcedureSpec, sample: Sample) -> FittedModel:
     """Fit one candidate procedure on a sample."""
-    row = PROCEDURES[spec.name]
-    x, y = _canonical(sample) if row.canonical else (sample.x, sample.y)
-    return row.fit(x, y, spec.arg)
+    return PROCEDURES[spec.name].fit(*_canonical(sample), spec.arg)

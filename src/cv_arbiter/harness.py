@@ -446,7 +446,7 @@ def load_xy_csv(path: str) -> Sample:
             ys.append(y)
     if len(xs) < 20:
         raise SampleTooSmall(f"need at least 20 rows, got {len(xs)}")
-    return Sample(x=np.array(xs), y=np.array(ys))
+    return Sample(x=xs, y=ys)
 
 
 def select_from_csv(

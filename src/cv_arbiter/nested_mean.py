@@ -34,6 +34,7 @@ from scipy.special import fdtrc
 from . import rng
 from .blas import usable_cores
 from .errors import ExhaustiveTooLarge, OverflowRisk
+from .splits import EXHAUSTIVE_CAP
 
 CLOSED_PAIR_MAX_N = 60
 # Draws per selection_prob chunk: each temporary is 512 KB, so memory stays
@@ -43,14 +44,14 @@ CHUNK_DRAWS = 1 << 16
 
 @dataclass(frozen=True)
 class NestedMeanInstance:
-    """One realized dataset y_i = mu + eps_i with a splitting ratio."""
+    """One realized dataset y_i = mu + eps_i with a splitting ratio; eps is a frozen copy."""
 
     mu: float
     eps: np.ndarray
     n1: int
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
+        eps = np.array(self.eps, dtype=float)
         if eps.ndim != 1 or len(eps) < 2:
             raise ValueError("eps must be a vector of length >= 2")
         if not 1 <= self.n1 <= len(eps) - 1:
@@ -117,8 +118,8 @@ def brute_force_multifold(y, n1: int) -> tuple[float, float]:
     if not 1 <= n1 <= n - 1:
         raise ValueError(f"n1 must be in [1, {n - 1}]")
     total = math.comb(n, n1)
-    if total > 10**6:
-        raise ExhaustiveTooLarge(f"C({n},{n1}) = {total} exceeds 10^6")
+    if total > EXHAUSTIVE_CAP:
+        raise ExhaustiveTooLarge(f"C({n},{n1}) = {total} exceeds {EXHAUSTIVE_CAP}")
     idx = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), n1)),
         dtype=np.intp,

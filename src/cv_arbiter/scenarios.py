@@ -40,14 +40,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed (x, y) pairs; immutable after construction."""
+    """Observed (x, y) pairs, held as read-only copies of the arrays given."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
         if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 1:
             raise ValueError("x and y must be 1-d arrays of equal length >= 1")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

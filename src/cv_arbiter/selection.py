@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllProceduresFailed, CvArbiterError, NonFinitePrediction
-from .estimators import PROCEDURES, FittedModel, ProcedureSpec
+from .estimators import PROCEDURES, FittedModel, ProcedureSpec, xy_order
 from .scenarios import Sample
 from .splits import SelectionScheme, SplitSchedule, make_splits
 
@@ -66,8 +66,7 @@ def _criteria_matrix(
     """Fit every procedure on every split's estimation half and score it.
 
     The sample is sorted by (x, y) once for all procedures and splits, and
-    a canonical row's estimation halves are cut from the sorted rows; the
-    other rows' halves keep the sample's row order.  Each criterion is
+    every estimation half is cut from the sorted rows.  Each criterion is
     ``cv_criterion`` of the split's fit at its evaluation points, in row
     order.  A procedure that fails on any split is disqualified outright
     (its column becomes NaN); package errors disqualify, anything else
@@ -76,18 +75,15 @@ def _criteria_matrix(
     n_splits, n_procs = len(plan), len(procedures)
     crit = np.full((n_splits, n_procs), np.nan)
     disqualified: dict[int, str] = {}
-    order = np.lexsort((sample.y, sample.x))
-    by_xy = sample.x[order], sample.y[order], plan[:, order]
-    by_row = sample.x, sample.y, plan
+    order = xy_order(sample)
+    x, y, est_plan = sample.x[order], sample.y[order], plan[:, order]
     ev_plan = ~plan
     eval_y = [sample.y[ev] for ev in ev_plan]
     for j, spec in enumerate(procedures):
-        row = PROCEDURES[spec.name]
-        x, y, est_plan = by_xy if row.canonical else by_row
+        fit = PROCEDURES[spec.name].fit
         try:
             for i, (est, ev) in enumerate(zip(est_plan, ev_plan)):
-                model = row.fit(x[est], y[est], spec.arg)
-                crit[i, j] = cv_criterion(model, sample.x[ev], eval_y[i])
+                crit[i, j] = cv_criterion(fit(x[est], y[est], spec.arg), sample.x[ev], eval_y[i])
         except CvArbiterError as exc:
             crit[:, j] = np.nan
             disqualified[j] = f"{type(exc).__name__}: {exc}"

@@ -74,6 +74,26 @@ def test_select_disqualifies_spline_on_adjacent_float_knots(tmp_path, capsys):
     assert report["disqualified"]["spline"].startswith("RankDeficient")
 
 
+@pytest.mark.parametrize("scale, procs", [(1e300, "poly:1,poly:3"), (1e-300, "poly:1,spline")])
+def test_select_disqualifies_a_fit_that_overflows_at_extreme_x(tmp_path, capfd, scale, procs):
+    # x^3 overflows at |x| ~ 1e300 and the spline penalty's divided
+    # differences at |x| ~ 1e-300; each fit is disqualified, quietly
+    x, y = scale * np.linspace(1.0, 2.0, 40), np.sin(np.arange(40.0))
+    path = tmp_path / "extreme.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    rc = main([
+        "select", "--data", str(path), "--procs", procs,
+        "--scheme", "kfold-a:5", "--schedule", "ratio:5:5", "--seed", "0",
+    ])
+    out = capfd.readouterr()
+    assert rc == 0, out.err
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["winner"] == "poly:1"
+    assert list(report["disqualified"]) == procs.split(",")[1:]
+    assert report["disqualified"][procs.split(",")[1]].startswith("RankDeficient")
+
+
 def test_select_missing_file_is_config_error(tmp_path):
     rc = main([
         "select", "--data", str(tmp_path / "nope.csv"), "--procs", "poly:1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import sequential_selection_prob
 
-from cv_arbiter import rng
+from cv_arbiter import nested_mean, rng
 from cv_arbiter.errors import ExhaustiveTooLarge, OverflowRisk
 from cv_arbiter.nested_mean import (
     NestedMeanInstance,
@@ -16,6 +16,7 @@ from cv_arbiter.nested_mean import (
     selection_prob,
     split_count_factor,
 )
+from cv_arbiter.splits import EXHAUSTIVE_CAP
 
 
 def test_zero_noise_zero_mu_means_exact_tie():
@@ -98,9 +99,13 @@ def test_overflow_guard():
     assert math.isfinite(normalized_cv_diff(inst))
 
 
-def test_brute_force_cap():
-    with pytest.raises(ExhaustiveTooLarge):
+def test_brute_force_cap(monkeypatch):
+    # the oracle enumerates on its own but shares the engine's cap
+    with pytest.raises(ExhaustiveTooLarge, match=f"exceeds {EXHAUSTIVE_CAP}"):
         brute_force_multifold(np.zeros(40), 20)
+    monkeypatch.setattr(nested_mean, "EXHAUSTIVE_CAP", math.comb(20, 10) - 1)
+    with pytest.raises(ExhaustiveTooLarge):
+        brute_force_multifold(np.zeros(20), 10)
 
 
 def test_selection_prob_zero_noise():
@@ -241,3 +246,13 @@ def test_instance_validation():
         NestedMeanInstance(mu=0.0, eps=np.zeros(5), n1=5)
     with pytest.raises(ValueError):
         NestedMeanInstance(mu=0.0, eps=np.zeros(1), n1=0)
+
+
+def test_instance_freezes_a_copy_and_leaves_the_callers_eps_writeable():
+    eps = np.linspace(-1.0, 1.0, 6)
+    inst = NestedMeanInstance(mu=0.0, eps=eps, n1=3)
+    assert eps.flags.writeable
+    eps[0] = 9.0
+    assert inst.eps[0] == -1.0
+    with pytest.raises(ValueError):
+        inst.eps[1] = 0.0

@@ -113,6 +113,18 @@ def test_sample_is_immutable():
         s.y[0] = 0.0
 
 
+def test_sample_freezes_a_copy_and_leaves_the_callers_arrays_writeable():
+    x = np.linspace(0.0, 1.0, 5)
+    y = x.copy()
+    s = Sample(x=x, y=y)
+    assert x.flags.writeable and y.flags.writeable
+    x[0] = y[0] = 7.0
+    assert s.x[0] == s.y[0] == 0.0
+    for arr in (s.x, s.y):
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         replace(CASE1, sigma=-0.1)
