@@ -24,6 +24,7 @@ from .scenarios import Sample, Scenario, gen_sample, true_f
 from .splits import SelectionScheme, SplitSchedule, make_splits
 
 SUP_GRID = np.linspace(0.0, 1.0, 10_001)
+NORM_DRAWS = 2000  # design draws per replication that score its L2 and L4 losses
 
 
 def empirical_norm(
@@ -69,7 +70,6 @@ def rate_slope(
     n_grid,
     reps: int,
     stream: np.random.Generator,
-    norm_draws: int = 2000,
 ) -> float:
     """Least-squares slope of log mean-squared-L2-loss against log n.
 
@@ -88,7 +88,7 @@ def rate_slope(
         for r in range(reps):
             sample = gen_sample(scenario, n, stream)
             model = fit_procedure(proc, sample)
-            x = rng.uniforms(stream, norm_draws)
+            x = rng.uniforms(stream, NORM_DRAWS)
             diff = model.predict(x) - true_f(scenario, x)
             losses[r] = np.mean(diff**2)
         risk = float(np.mean(losses))
@@ -110,7 +110,6 @@ def better_prob(
     reps: int,
     c: float,
     stream: np.random.Generator,
-    norm_draws: int = 2000,
 ) -> float:
     """Frequency of L2(B) >= (1 + c) * L2(A) over replications.
 
@@ -126,7 +125,7 @@ def better_prob(
         sample = gen_sample(scenario, n, stream)
         model_a = fit_procedure(proc_a, sample)
         model_b = fit_procedure(proc_b, sample)
-        x = rng.uniforms(stream, norm_draws)
+        x = rng.uniforms(stream, NORM_DRAWS)
         l2_a, _ = _l2_l4(model_a, scenario, x)
         l2_b, _ = _l2_l4(model_b, scenario, x)
         if l2_b >= (1.0 + c) * l2_a:
@@ -140,7 +139,6 @@ def condition_scales(
     n: int,
     reps: int,
     stream: np.random.Generator,
-    norm_draws: int = 2000,
 ) -> tuple[float, float]:
     """95th percentiles over replications of the sup-norm loss and of the
     L4/L2 loss ratio."""
@@ -152,7 +150,7 @@ def condition_scales(
         sample = gen_sample(scenario, n, stream)
         model = fit_procedure(proc, sample)
         sups[r] = np.max(np.abs(model.predict(SUP_GRID) - true_f(scenario, SUP_GRID)))
-        x = rng.uniforms(stream, norm_draws)
+        x = rng.uniforms(stream, NORM_DRAWS)
         l2, l4 = _l2_l4(model, scenario, x)
         if l2 == 0.0:
             raise DegenerateRisk("zero L2 loss; ratio undefined")

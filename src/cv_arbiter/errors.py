@@ -38,7 +38,7 @@ class AllProceduresFailed(CvArbiterError):
 
 
 class OverflowRisk(CvArbiterError):
-    """Exact binomial coefficients would overflow double precision."""
+    """A binomial coefficient, selection margin or criterion overflows a double."""
 
 
 class DegenerateRisk(CvArbiterError):

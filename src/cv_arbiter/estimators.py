@@ -41,7 +41,7 @@ from .errors import (
     SampleTooSmall,
 )
 from .scenarios import Sample
-from .splits import _lookup
+from .splits import TableId, at_least
 
 MAX_INTERIOR_SITES = 35  # cap on distinct knot sites (incl. the two boundary knots)
 
@@ -56,27 +56,6 @@ LAMBDA_DECADES = 16.0
 TOP_STIFFNESS = 1e8
 _LAMBDA_TEMPLATE = np.geomspace(10.0 ** (-LAMBDA_DECADES), 1.0, LAMBDA_POINTS)
 _LAMBDA_TEMPLATE.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class ProcedureSpec:
-    """A candidate procedure, addressable by a string id.
-
-    Ids: ``poly:d``, ``zero``, ``mean``, ``spline``, ``loclin:h`` or
-    ``loclin:auto``.  ``name`` is the id's key in ``PROCEDURES`` and
-    ``arg`` its parsed argument, None for an id without one.
-    """
-
-    name: str
-    arg: int | float | str | None = None
-
-    @property
-    def id(self) -> str:
-        return self.name if self.arg is None else f"{self.name}:{self.arg}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ProcedureSpec":
-        return cls(*_lookup(PROCEDURES, text, "procedure"))
 
 
 @dataclass(frozen=True)
@@ -528,8 +507,9 @@ def _loclin_batch(xt, yt, h, queries, drop_self=False):
     stable even when the window barely identifies a slope).  Falls back
     to the nearest-data mean where fewer than two points carry positive
     weight, and to the local weighted mean where the weighted x spread
-    is numerically degenerate.  Returns (predictions, self-weight
-    diagonal contribution for dof bookkeeping, all-windows-regular flag).
+    is numerically degenerate or the line is not finite.  Returns
+    (predictions, self-weight diagonal contribution for dof bookkeeping,
+    all-windows-regular flag).
     """
     q = np.asarray(queries, dtype=float)
     m = len(q)
@@ -555,9 +535,11 @@ def _loclin_batch(xt, yt, h, queries, drop_self=False):
         _gathered_stats(xt, yt, q, lo, hi, skip, kernel, stats, rows)
     s0, s2, ubar, sxx, ybar, sxy = stats
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ok_line = sxx > 1e-5 * np.maximum(s2, 1e-300)
         slope = np.where(ok_line, sxy, 0.0) / np.where(ok_line, sxx, 1.0)
+        ok_line &= np.isfinite(ybar - slope * ubar)  # an overflowing line is no line
+        slope = np.where(ok_line, slope, 0.0)
         pred = ybar - slope * ubar  # prediction at the query (u = 0)
         selfw = np.where(
             ok_line,
@@ -646,13 +628,6 @@ def fit_local_linear(sample: Sample, bandwidth: float | str = "auto") -> FittedM
 # --- the procedure table ------------------------------------------------------
 
 
-def _degree(text: str) -> int:
-    degree = int(text)
-    if degree < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    return degree
-
-
 def _bandwidth(text: str) -> float | str:
     if text == "auto":
         return text
@@ -668,12 +643,23 @@ class Procedure(NamedTuple):
 
 
 PROCEDURES: dict[str, Procedure] = {
-    "poly": Procedure(_degree, _poly_model),
+    "poly": Procedure(at_least(0, "polynomial degree"), _poly_model),
     "zero": Procedure(None, lambda x, y, _: _mean_model(y, False)),
     "mean": Procedure(None, lambda x, y, _: _mean_model(y, True)),
     "spline": Procedure(None, _spline_model),  # arg None: the default grid
     "loclin": Procedure(_bandwidth, _loclin_model),
 }
+
+
+class ProcedureSpec(TableId):
+    """A candidate procedure, addressable by a string id.
+
+    Ids: ``poly:d``, ``zero``, ``mean``, ``spline``, ``loclin:h`` or
+    ``loclin:auto``; ``arg`` is the degree, the bandwidth or None.
+    """
+
+    family = "procedure"
+    table = PROCEDURES
 
 
 def fit_procedure(spec: ProcedureSpec, sample: Sample) -> FittedModel:

@@ -99,14 +99,14 @@ class ExperimentConfig:
         if not all(_is_int(n) and n >= 2 for n in self.n_grid):
             raise ConfigError("grid sizes must be integers >= 2")
         try:
-            for c in self.cases:
-                resolve_scenario(c)
-            for p in self.procedures:
-                ProcedureSpec.parse(p)
-            for s in self.schemes:
-                SelectionScheme.parse(s)
-            for s in self.schedules:
-                SplitSchedule.parse(s)
+            for ids, parse in (
+                (self.cases, resolve_scenario),
+                (self.procedures, ProcedureSpec.parse),
+                (self.schemes, SelectionScheme.parse),
+                (self.schedules, SplitSchedule.parse),
+            ):
+                for i in ids:
+                    parse(i)
         except (CvArbiterError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if self.threads != "auto" and (not _is_int(self.threads) or self.threads < 1):

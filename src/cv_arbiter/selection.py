@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllProceduresFailed, CvArbiterError, NonFinitePrediction
+from .errors import AllProceduresFailed, CvArbiterError, NonFinitePrediction, OverflowRisk
 from .estimators import PROCEDURES, FittedModel, ProcedureSpec, xy_order
 from .scenarios import Sample
 from .splits import SelectionScheme, SplitSchedule, make_splits
@@ -28,7 +28,8 @@ def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> 
     Residuals at floating-point noise level (within 1e-12 of the data
     scale) count as an exact fit and return exactly 0, so competing
     perfect fits tie deterministically instead of being ranked by
-    rounding noise.
+    rounding noise.  Raises NonFinitePrediction for a prediction that is
+    not finite and OverflowRisk for a sum that is not.
     """
     eval_x = np.asarray(eval_x, dtype=float)
     eval_y = np.asarray(eval_y, dtype=float)
@@ -40,7 +41,10 @@ def cv_criterion(model: FittedModel, eval_x: np.ndarray, eval_y: np.ndarray) -> 
     resid = eval_y - pred
     if np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(eval_y).max()):
         return 0.0
-    return float((resid**2).sum())
+    crit = float((resid**2).sum())
+    if not crit < np.inf:  # NaN fails too; tied at inf, the lowest index would win
+        raise OverflowRisk(f"{model.label or 'model'}'s squared errors sum to {crit}")
+    return crit
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,9 @@ class SelectionOutcome:
     disqualified: dict[int, str]
 
 
+# Extreme data overflow the fits' arithmetic, but every non-finite outcome
+# ends in a package error, so the float warnings would add nothing.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _criteria_matrix(
     procedures: list[ProcedureSpec], sample: Sample, plan: np.ndarray
 ) -> tuple[np.ndarray, dict[int, str]]:
@@ -104,9 +111,14 @@ def tally_votes(crit: np.ndarray) -> np.ndarray:
     return np.bincount(winners, minlength=crit.shape[1])
 
 
+@np.errstate(over="ignore")
 def averaged_criteria(crit: np.ndarray) -> np.ndarray:
-    """Column means over splits; NaN columns stay NaN."""
-    return crit.mean(axis=0)
+    """Column means over splits; NaN columns stay NaN.  A column whose sum
+    overflows is averaged from its terms divided by the split count."""
+    mean = crit.mean(axis=0)
+    over = mean == np.inf
+    mean[over] = (crit[:, over] / len(crit)).sum(axis=0)
+    return mean
 
 
 def select_on_plan(

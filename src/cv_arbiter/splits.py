@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
@@ -23,96 +23,35 @@ EXHAUSTIVE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class SplitSchedule:
-    """Resolves a sample size n to an estimation size n1.
+class TableId:
+    """A ``name[:arg]`` id of a procedure, schedule or scheme.
 
-    Ids: ``ratio:a:b`` (n1 = floor(n * a/(a+b))), ``est-dom``
-    (n1 = n - floor(sqrt(n) * log n)), ``eval-dom`` (n1 = ceil(sqrt(n))),
-    ``n1:<k>`` (explicit).  ``name`` is the id's key in ``SCHEDULES`` and
-    ``arg`` its parsed argument, None for an id without one.  Resolution
-    clamps to [1, n-1].
+    ``name`` is the row's key in the subclass's ``table`` and ``arg`` what
+    the row's ``parse_arg`` made of the argument, None for a row without
+    one.  ``family`` names the kind of id in errors.
     """
 
     name: str
-    arg: Fraction | int | None = None
+    arg: Any = None
+    family: ClassVar[str]
+    table: ClassVar[Mapping[str, Any]]
 
     @property
     def id(self) -> str:
         return self.name if self.arg is None else f"{self.name}:{self.arg}"
 
     @classmethod
-    def parse(cls, text: str) -> "SplitSchedule":
-        return cls(*_lookup(SCHEDULES, text, "schedule"))
-
-    def resolve(self, n: int) -> int:
-        if n < 2:
-            raise ValueError("need n >= 2 to split")
-        return min(max(SCHEDULES[self.name].n1(n, self.arg), 1), n - 1)
-
-
-@dataclass(frozen=True)
-class SelectionScheme:
-    """How splits are drawn and how the winner is decided.
-
-    Ids: ``single``, ``rlt:m`` (m random splits, averaged), ``rsv:m``
-    (m random splits, voted), ``kfold-a:r`` / ``kfold-v:r``,
-    ``exhaustive-a`` / ``exhaustive-v``.  ``name`` is the id's key in
-    ``SCHEMES`` and ``count`` its split or fold count, None for an id
-    without one.
-    """
-
-    name: str
-    count: int | None = None
-
-    @property
-    def id(self) -> str:
-        return self.name if self.count is None else f"{self.name}:{self.count}"
-
-    @property
-    def vote(self) -> bool:
-        """True when the plurality of per-split winners decides."""
-        return SCHEMES[self.name].vote
-
-    @classmethod
-    def parse(cls, text: str) -> "SelectionScheme":
-        return cls(*_lookup(SCHEMES, text, "scheme"))
+    def parse(cls, text: str) -> TableId:
+        name, colon, arg = text.strip().partition(":")
+        row = cls.table.get(name)
+        if row is None or (row.parse_arg is None) == bool(colon):
+            raise ValueError(f"unknown {cls.family} id: {text!r}")
+        return cls(name, row.parse_arg(arg) if colon else None)
 
 
-def _lookup(table: dict, text: str, family: str) -> tuple[str, object]:
-    """Split an id into its table key and parsed argument (None without one)."""
-    name, colon, arg = text.strip().partition(":")
-    entry = table.get(name)
-    if entry is None or (entry.parse_arg is None) == bool(colon):
-        raise ValueError(f"unknown {family} id: {text!r}")
-    return name, entry.parse_arg(arg) if colon else None
+def at_least(low: int, what: str) -> Callable[[str], int]:
+    """A parser of integer id arguments that refuses values below ``low``."""
 
-
-def estimation_size(n: int, schedule: SplitSchedule, scheme: SelectionScheme) -> int:
-    """n1 of the splits a scheme draws from n points.
-
-    Raises ValueError for k-fold r > n and ExhaustiveTooLarge when an
-    exhaustive plan would exceed EXHAUSTIVE_CAP splits.
-    """
-    return SCHEMES[scheme.name].size(n, schedule, scheme.count)
-
-
-def make_splits(
-    n: int, schedule: SplitSchedule, scheme: SelectionScheme, stream: np.random.Generator
-) -> np.ndarray:
-    """Draw the scheme's (splits x n) estimation mask; deterministic given
-    the stream.
-
-    K-fold ignores the schedule (fold sizes set n1); exhaustive
-    enumeration is capped at EXHAUSTIVE_CAP subsets.
-    """
-    n1 = estimation_size(n, schedule, scheme)
-    return SCHEMES[scheme.name].draw(n, n1, scheme.count, stream)
-
-
-# --- the schedule table -------------------------------------------------------
-
-
-def _at_least(low: int, what: str) -> Callable[[str], int]:
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -120,6 +59,9 @@ def _at_least(low: int, what: str) -> Callable[[str], int]:
         return value
 
     return parse
+
+
+# --- the schedule table -------------------------------------------------------
 
 
 class _Share(Fraction):
@@ -145,7 +87,7 @@ SCHEDULES: dict[str, Schedule] = {
     "ratio": Schedule(_share, lambda n, share: int(n * share)),  # exact Fraction floor
     "est-dom": Schedule(None, lambda n, _: n - math.floor(math.sqrt(n) * math.log(n))),
     "eval-dom": Schedule(None, lambda n, _: math.ceil(math.sqrt(n))),
-    "n1": Schedule(_at_least(1, "explicit n1"), lambda n, k: k),
+    "n1": Schedule(at_least(1, "explicit n1"), lambda n, k: k),
 }
 
 
@@ -168,7 +110,7 @@ def _kfold(n: int, _n1: int, r: int, stream: np.random.Generator) -> np.ndarray:
     return plan
 
 
-def _exhaustive(n: int, n1: int, _count, _stream) -> np.ndarray:
+def _exhaustive(n: int, n1: int, _arg, _stream) -> np.ndarray:
     """Every n1-subset, in lexicographic order; draws nothing."""
     total = math.comb(n, n1)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), n1))
@@ -184,7 +126,7 @@ def _kfold_size(n: int, _schedule, r: int) -> int:
     return n - -(-n // r)  # largest fold: ceil(n / r)
 
 
-def _exhaustive_size(n: int, schedule: SplitSchedule, _count) -> int:
+def _exhaustive_size(n: int, schedule: SplitSchedule, _arg) -> int:
     n1 = schedule.resolve(n)
     if (total := math.comb(n, n1)) > EXHAUSTIVE_CAP:
         raise ExhaustiveTooLarge(f"C({n},{n1}) = {total} exceeds {EXHAUSTIVE_CAP}")
@@ -193,17 +135,78 @@ def _exhaustive_size(n: int, schedule: SplitSchedule, _count) -> int:
 
 class Scheme(NamedTuple):
     parse_arg: Callable[[str], int] | None  # None: the id takes no argument
-    draw: Callable[..., np.ndarray]  # (n, n1, count, stream) -> plan
+    draw: Callable[..., np.ndarray]  # (n, n1, arg, stream) -> plan
     vote: bool  # plurality of per-split winners, else lowest mean criterion
     size: Callable[..., int] = lambda n, schedule, _: schedule.resolve(n)  # -> n1
 
 
 SCHEMES: dict[str, Scheme] = {
     "single": Scheme(None, lambda n, n1, _, stream: _random(n, n1, 1, stream), False),
-    "rlt": Scheme(_at_least(1, "split count"), _random, False),
-    "rsv": Scheme(_at_least(1, "split count"), _random, True),
-    "kfold-a": Scheme(_at_least(2, "fold count"), _kfold, False, _kfold_size),
-    "kfold-v": Scheme(_at_least(2, "fold count"), _kfold, True, _kfold_size),
+    "rlt": Scheme(at_least(1, "split count"), _random, False),
+    "rsv": Scheme(at_least(1, "split count"), _random, True),
+    "kfold-a": Scheme(at_least(2, "fold count"), _kfold, False, _kfold_size),
+    "kfold-v": Scheme(at_least(2, "fold count"), _kfold, True, _kfold_size),
     "exhaustive-a": Scheme(None, _exhaustive, False, _exhaustive_size),
     "exhaustive-v": Scheme(None, _exhaustive, True, _exhaustive_size),
 }
+
+
+# --- the id families and plans ------------------------------------------------
+
+
+class SplitSchedule(TableId):
+    """Resolves a sample size n to an estimation size n1.
+
+    Ids: ``ratio:a:b`` (n1 = floor(n * a/(a+b))), ``est-dom``
+    (n1 = n - floor(sqrt(n) * log n)), ``eval-dom`` (n1 = ceil(sqrt(n))),
+    ``n1:<k>`` (explicit); ``arg`` is the share a/(a+b), k or None.
+    Resolution clamps to [1, n-1].
+    """
+
+    family = "schedule"
+    table = SCHEDULES
+
+    def resolve(self, n: int) -> int:
+        if n < 2:
+            raise ValueError("need n >= 2 to split")
+        return min(max(SCHEDULES[self.name].n1(n, self.arg), 1), n - 1)
+
+
+class SelectionScheme(TableId):
+    """How splits are drawn and how the winner is decided.
+
+    Ids: ``single``, ``rlt:m`` (m random splits, averaged), ``rsv:m``
+    (m random splits, voted), ``kfold-a:r`` / ``kfold-v:r``,
+    ``exhaustive-a`` / ``exhaustive-v``; ``arg`` is the split or fold
+    count, or None.
+    """
+
+    family = "scheme"
+    table = SCHEMES
+
+    @property
+    def vote(self) -> bool:
+        """True when the plurality of per-split winners decides."""
+        return SCHEMES[self.name].vote
+
+
+def estimation_size(n: int, schedule: SplitSchedule, scheme: SelectionScheme) -> int:
+    """n1 of the splits a scheme draws from n points.
+
+    Raises ValueError for k-fold r > n and ExhaustiveTooLarge when an
+    exhaustive plan would exceed EXHAUSTIVE_CAP splits.
+    """
+    return SCHEMES[scheme.name].size(n, schedule, scheme.arg)
+
+
+def make_splits(
+    n: int, schedule: SplitSchedule, scheme: SelectionScheme, stream: np.random.Generator
+) -> np.ndarray:
+    """Draw the scheme's (splits x n) estimation mask; deterministic given
+    the stream.
+
+    K-fold ignores the schedule (fold sizes set n1); exhaustive
+    enumeration is capped at EXHAUSTIVE_CAP subsets.
+    """
+    n1 = estimation_size(n, schedule, scheme)
+    return SCHEMES[scheme.name].draw(n, n1, scheme.arg, stream)

@@ -93,8 +93,9 @@ def dense_loclin_batch(xt, yt, h, queries, drop_self=False):
     stable even when the window barely identifies a slope).  Falls back
     to the nearest-data mean where fewer than two points carry positive
     weight, and to the local weighted mean where the weighted x spread
-    is numerically degenerate.  Returns (predictions, self-weight
-    diagonal contribution for dof bookkeeping, all-windows-regular flag).
+    is numerically degenerate or the line is not finite.  Returns
+    (predictions, self-weight diagonal contribution for dof bookkeeping,
+    all-windows-regular flag).
     """
     dx = xt[None, :] - queries[:, None]
     w = _epanechnikov(dx / h)
@@ -107,13 +108,15 @@ def dense_loclin_batch(xt, yt, h, queries, drop_self=False):
     t1 = (w * dx) @ yt
     npos = (w > 0).sum(axis=1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ybar = t0 / s0
         ubar = s1 / s0
         sxx = s2 - s1 * ubar  # weighted spread of the centered design
         sxy = t1 - s1 * ybar
         ok_line = sxx > 1e-5 * np.maximum(s2, 1e-300)
         slope = np.where(ok_line, sxy, 0.0) / np.where(ok_line, sxx, 1.0)
+        ok_line &= np.isfinite(ybar - slope * ubar)  # an overflowing line is no line
+        slope = np.where(ok_line, slope, 0.0)
         pred = ybar - slope * ubar  # prediction at the query (u = 0)
         selfw = np.where(
             ok_line,

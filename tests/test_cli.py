@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cv_arbiter import diagnostics
+from cv_arbiter import diagnostics, rng
 from cv_arbiter.cli import main
 from cv_arbiter.estimators import PROCEDURES
 from cv_arbiter.scenarios import _SCENARIOS
@@ -92,6 +92,51 @@ def test_select_disqualifies_a_fit_that_overflows_at_extreme_x(tmp_path, capfd, 
     assert report["winner"] == "poly:1"
     assert list(report["disqualified"]) == procs.split(",")[1:]
     assert report["disqualified"][procs.split(",")[1]].startswith("RankDeficient")
+
+
+@pytest.mark.parametrize("procs", ["poly:1,poly:2", "poly:2,poly:1"])
+def test_select_names_no_winner_when_every_criterion_overflows(tmp_path, capsys, procs):
+    # every procedure's squared errors of 1e200 noise overflow; tied at
+    # inf, whichever procedure is listed first would win
+    s = rng.stream("select-criterion-overflow")
+    x, y = rng.uniforms(s, 60), 1e200 * rng.normals(s, 60)
+    path = tmp_path / "huge-noise.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    rc = main(["select", "--data", str(path), "--procs", procs, "--scheme", "kfold-a:5"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("OverflowRisk") == 2
+
+
+def test_select_on_extreme_x_prints_no_float_warnings(tmp_path):
+    # at |x| ~ 1e200 the spline and local linear arithmetic overflows;
+    # each fit still ends finite or in a package error, so stderr stays
+    # empty (in a fresh process, where no test harness records warnings)
+    s = rng.stream("select-extreme-x-quietly")
+    x, y = 1e200 * rng.uniforms(s, 60), rng.normals(s, 60)
+    path = tmp_path / "huge-x.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cv_arbiter.cli", "select", "--data", str(path),
+         "--procs", "poly:1,spline,loclin:auto,loclin:0.3", "--scheme", "kfold-a:5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "averaged": {
+            "loclin:0.3": 31.48908688334596, "loclin:auto": None,
+            "poly:1": 15.340661914745713, "spline": None,
+        },
+        "disqualified": {
+            "loclin:auto": "BandwidthTooSmall: no bandwidth on the grid supports delete-1 fits",
+            "spline": "RankDeficient: spline penalty is rank deficient beyond its null space",
+        },
+        "n": 60, "n1": 48, "schedule": "ratio:5:5", "scheme": "kfold-a:5", "seed": 0,
+        "selected": 0, "splits": 5,
+        "votes": {"loclin:0.3": 1, "loclin:auto": 0, "poly:1": 4, "spline": 0},
+        "winner": "poly:1",
+    }
 
 
 def test_select_missing_file_is_config_error(tmp_path):

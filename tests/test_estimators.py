@@ -519,6 +519,25 @@ def test_loclin_batch_matches_dense_oracle(kind, n, monkeypatch):
         assert fast.dof == pytest.approx(slow.dof, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [5, 20, 59])
+def test_loclin_line_that_overflows_falls_back_to_the_local_mean(n):
+    # an x spread of 1e-12 against |y| ~ 1e299 overflows the slope
+    # sxy / sxx; the window then predicts its weighted mean, as a flat
+    # spread does, on the direct (n <= 32) and the prefix-sum path
+    s = rng.stream("loclin-line-overflow", n)
+    x = np.sort(1e-12 * rng.uniforms(s, n))
+    y = 2.6e299 * (2.0 * rng.uniforms(s, n) - 1.0)
+    for q, drop_self in ((np.array([0.0, 5e-13, 1e-12]), False), (x, False), (x, True)):
+        pred, selfw, valid = _loclin_batch(x, y, 0.3, q, drop_self)
+        opred, oselfw, ovalid = dense_loclin_batch(x, y, 0.3, q, drop_self)
+        assert np.all(np.isfinite(pred)) and valid == ovalid
+        assert np.max(np.abs(pred - opred)) <= 1e-9 * 2.6e299
+        np.testing.assert_allclose(selfw, oselfw, rtol=1e-9, atol=0.0)
+    model = fit_local_linear(Sample(x=x, y=y), 0.3)
+    assert np.all(np.isfinite(model.predict(GRID_10001)))
+    assert 0.0 <= model.dof <= n
+
+
 def test_loclin_prefix_sums_hand_back_windows_outside_their_group():
     # A window reaches past its prefix-sum group only by rounding at the
     # group's far edge; such rows must be left for point-by-point sums.

@@ -86,6 +86,14 @@ def test_averaging_tie_goes_to_lower_index():
     assert int(np.argmin(avg)) == 0
 
 
+def test_averaging_ranks_criteria_whose_sum_overflows():
+    # each criterion is finite but the column sums overflow; tied at inf,
+    # the lower index would win
+    crit = np.array([[1.5e308, 1.0e308], [1.5e308, 1.0e308]])
+    assert averaged_criteria(crit).tolist() == [1.5e308, 1.0e308]
+    assert averaged_criteria(crit[:, ::-1]).tolist() == [1.0e308, 1.5e308]
+
+
 def test_two_procedure_vote_matches_majority_rule():
     # index 0 wins exactly when it wins at least half the splits
     g = rng.stream("vote-rule")
@@ -295,6 +303,18 @@ def test_disqualified_never_selected():
     assert out.selected == 1
     assert 0 in out.disqualified and "SampleTooSmall" in out.disqualified[0]
     assert np.all(np.isnan(out.per_split_criteria[:, 0]))
+
+
+def test_overflowing_criterion_disqualifies_its_procedure():
+    # zero's squared errors of 1e160 overflow to inf; the mean's stay finite
+    s = rng.stream("criterion-overflow")
+    sample = Sample(x=rng.uniforms(s, 30), y=1e160 + 1e150 * rng.normals(s, 30))
+    procs = [ProcedureSpec.parse("zero"), ProcedureSpec.parse("mean")]
+    scheme = SelectionScheme.parse("kfold-a:5")
+    out = run_selection(procs, sample, SplitSchedule.parse("ratio:5:5"), scheme, s)
+    assert out.selected == 1 and list(out.disqualified) == [0]
+    assert out.disqualified[0] == "OverflowRisk: zero's squared errors sum to inf"
+    assert np.all(np.isfinite(out.per_split_criteria[:, 1]))
 
 
 def test_all_procedures_failed():

@@ -76,7 +76,7 @@ def test_schedule_ids_round_trip():
 
 
 def test_scheme_parse_ids():
-    for text, name, count, vote in [
+    for text, name, arg, vote in [
         ("single", "single", None, False),
         ("rlt:100", "rlt", 100, False),
         ("rsv:25", "rsv", 25, True),
@@ -86,7 +86,7 @@ def test_scheme_parse_ids():
         ("exhaustive-v", "exhaustive-v", None, True),
     ]:
         scheme = SelectionScheme.parse(text)
-        assert (scheme.name, scheme.count, scheme.vote) == (name, count, vote)
+        assert (scheme.name, scheme.arg, scheme.vote) == (name, arg, vote)
         assert scheme.id == text
     for bad in ["rlt:0", "loo", "kfold-a:1", "single:1", "rsv", "rlt:", "exhaustive", "exhaustive-a:3"]:
         with pytest.raises(ValueError):
@@ -208,6 +208,6 @@ def test_plan_invariants(inputs):
         assert len(plan) == math.comb(n, n1)
         assert len({row.tobytes() for row in plan}) == len(plan)
     else:
-        assert len(plan) == (scheme.count or 1)  # single draws one split
+        assert len(plan) == (scheme.arg or 1)  # single draws one split
     again = make_splits(n, schedule, scheme, rng.stream("plan-props", seed))
     assert np.array_equal(plan, again)
